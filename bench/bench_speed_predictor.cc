@@ -2,6 +2,8 @@
 // paper's core speed claim is that a trained KW model predicts in
 // microseconds-to-milliseconds where simulators need hours.
 
+#include <optional>
+
 #include <benchmark/benchmark.h>
 
 #include "dataset/builder.h"
@@ -25,6 +27,7 @@ struct Fixture {
   dataset::Dataset data;
   dataset::NetworkSplit split;
   models::KwModel kw;
+  models::KwModel never_queried_kw;  // copied right after training
   models::E2eModel e2e;
   dnn::Network resnet50 = zoo::BuildByName("resnet50");
 
@@ -34,6 +37,7 @@ struct Fixture {
     data = dataset::BuildDataset(networks, options);
     split = dataset::SplitByNetwork(data, 0.15, 7);
     kw.Train(data, split);
+    never_queried_kw = kw;
     e2e.Train(data, split);
   }
 
@@ -90,6 +94,24 @@ void BM_PredictManyResnet50(benchmark::State& state) {
                           static_cast<std::int64_t>(queries.size()));
 }
 BENCHMARK(BM_PredictManyResnet50);
+
+// A first-sight plan compile (the "cold plan compile" stage): resolve
+// resnet50's layer signatures once, then build its A100 plan. Each
+// iteration compiles on a fresh copy of a never-queried model, so the
+// sid memo and plan cache start empty; copying (and destroying the
+// previous copy) is not timed.
+void BM_KwPlanForColdResnet50(benchmark::State& state) {
+  const Fixture& fixture = Fixture::Get();
+  const gpuexec::GpuSpec& a100 = gpuexec::GpuByName("A100");
+  std::optional<models::KwModel> model;
+  for (auto _ : state) {
+    state.PauseTiming();
+    model.emplace(fixture.never_queried_kw);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(model->PlanFor(fixture.resnet50, a100));
+  }
+}
+BENCHMARK(BM_KwPlanForColdResnet50)->Unit(benchmark::kMicrosecond);
 
 // A full serving-matrix refresh (the zoo x pool grid the dispatcher
 // consumes): coverage pass + one PredictMany sweep + scatter.

@@ -1,7 +1,8 @@
 #include "dnn/layer.h"
 
+#include <charconv>
+
 #include "common/logging.h"
-#include "common/string_util.h"
 
 namespace gpuperf::dnn {
 
@@ -98,20 +99,43 @@ const ChannelShuffleParams& Layer::shuffle() const {
   return std::get<ChannelShuffleParams>(params);
 }
 
+namespace {
+
+/** Appends `tag` then `value` in decimal (what "%ld" printed). */
+void AppendTagged(std::string& out, const char* tag, std::int64_t value) {
+  char digits[20];  // any int64, sign included
+  out += tag;
+  out.append(digits,
+             std::to_chars(digits, digits + sizeof(digits), value).ptr);
+}
+
+/** Appends `tag` then the shape as "CxHxW" (TensorShape::ToString). */
+void AppendShape(std::string& out, const char* tag, const TensorShape& s) {
+  AppendTagged(out, tag, s.c);
+  AppendTagged(out, "x", s.h);
+  AppendTagged(out, "x", s.w);
+}
+
+}  // namespace
+
 std::string LayerSignature(const Layer& layer) {
-  std::string sig = LayerKindName(layer.kind);
-  for (const TensorShape& in : layer.inputs) sig += "/i" + in.ToString();
-  sig += "/o" + layer.output.ToString();
+  // Built for every layer of every network a model first sees, so the
+  // digits are appended in place into one reserved buffer.
+  std::string sig;
+  sig.reserve(96 + 24 * layer.inputs.size());
+  sig += LayerKindName(layer.kind);
+  for (const TensorShape& in : layer.inputs) AppendShape(sig, "/i", in);
+  AppendShape(sig, "/o", layer.output);
   switch (layer.kind) {
     case LayerKind::kConv2d: {
       const ConvParams& p = layer.conv();
-      sig += Format("/k%ldx%ld/s%ldx%ld/p%ldx%ld/g%ld",
-                    static_cast<long>(p.kernel_h),
-                    static_cast<long>(p.kernel_w),
-                    static_cast<long>(p.stride_h),
-                    static_cast<long>(p.stride_w),
-                    static_cast<long>(p.pad_h), static_cast<long>(p.pad_w),
-                    static_cast<long>(p.groups));
+      AppendTagged(sig, "/k", p.kernel_h);
+      AppendTagged(sig, "x", p.kernel_w);
+      AppendTagged(sig, "/s", p.stride_h);
+      AppendTagged(sig, "x", p.stride_w);
+      AppendTagged(sig, "/p", p.pad_h);
+      AppendTagged(sig, "x", p.pad_w);
+      AppendTagged(sig, "/g", p.groups);
       if (p.epilogue == ConvEpilogue::kBias) sig += "/ebias";
       if (p.epilogue == ConvEpilogue::kRelu) sig += "/erelu";
       if (p.epilogue == ConvEpilogue::kRelu6) sig += "/erelu6";
@@ -120,15 +144,17 @@ std::string LayerSignature(const Layer& layer) {
     case LayerKind::kMaxPool:
     case LayerKind::kAvgPool: {
       const PoolParams& p = layer.pool();
-      sig += Format("/k%ld/s%ld/p%ld", static_cast<long>(p.kernel),
-                    static_cast<long>(p.stride), static_cast<long>(p.pad));
+      AppendTagged(sig, "/k", p.kernel);
+      AppendTagged(sig, "/s", p.stride);
+      AppendTagged(sig, "/p", p.pad);
       break;
     }
     case LayerKind::kMatMul: {
       const MatMulParams& p = layer.matmul();
-      sig += Format("/b%ld/m%ld/n%ld/k%ld", static_cast<long>(p.batch),
-                    static_cast<long>(p.m), static_cast<long>(p.n),
-                    static_cast<long>(p.k));
+      AppendTagged(sig, "/b", p.batch);
+      AppendTagged(sig, "/m", p.m);
+      AppendTagged(sig, "/n", p.n);
+      AppendTagged(sig, "/k", p.k);
       break;
     }
     default:

@@ -1,9 +1,20 @@
 #include "dnn/network.h"
 
+#include "common/random.h"
 #include "common/string_util.h"
 #include "dnn/flops.h"
 
 namespace gpuperf::dnn {
+
+void Network::AppendLayer(Layer layer) {
+  structure_hash_ =
+      HashCombine(structure_hash_, static_cast<std::uint64_t>(layer.kind));
+  structure_hash_ = HashCombine(
+      structure_hash_, static_cast<std::uint64_t>(layer.InputElements()));
+  structure_hash_ = HashCombine(
+      structure_hash_, static_cast<std::uint64_t>(layer.output.Elements()));
+  layers_.push_back(std::move(layer));
+}
 
 std::int64_t Network::ParameterCount() const {
   std::int64_t total = 0;

@@ -39,8 +39,19 @@ class Network {
   /** Execution-ordered layers. */
   const std::vector<Layer>& layers() const { return layers_; }
 
-  /** Appends a layer (used by NetworkBuilder). */
-  void AppendLayer(Layer layer) { layers_.push_back(std::move(layer)); }
+  /**
+   * Appends a layer (used by NetworkBuilder and the fusion pass). The
+   * only mutator, so it also folds the layer's kind and element counts
+   * into structure_hash().
+   */
+  void AppendLayer(Layer layer);
+
+  /**
+   * Running hash of every appended layer's kind, input elements and
+   * output elements, in order. Maintained by AppendLayer, so reading it
+   * is O(1); models::NetworkFingerprint builds its cache key on it.
+   */
+  std::uint64_t structure_hash() const { return structure_hash_; }
 
   /** Number of trainable parameters (weights + biases). */
   std::int64_t ParameterCount() const;
@@ -53,6 +64,7 @@ class Network {
   std::string family_;
   TensorShape input_;
   std::vector<Layer> layers_;
+  std::uint64_t structure_hash_ = 0;
 };
 
 }  // namespace gpuperf::dnn

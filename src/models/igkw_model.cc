@@ -120,30 +120,16 @@ void IgkwModel::Train(const dataset::Dataset& data,
 }
 
 void IgkwModel::FinalizeTables() {
-  sig_index_.clear();
-  reduced_index_.clear();
-  resolved_.clear();
-  predict_cache_.Clear();
   plan_cache_.Clear();
-
-  // Signature ids follow the sorted mapping-table order; the reduced
-  // index keeps the first full signature per reduced key, matching the
-  // KW model's fallback-table derivation.
+  // kw_ numbers signatures in mapping-table order, so walking the same
+  // table in the same order gives resolved_ exactly kw_'s ids.
   const std::map<std::string, std::vector<std::string>>& mapping =
       kw_.MappingTable();
+  resolved_.clear();
+  resolved_.reserve(mapping.size());
   for (const auto& [signature, names] : mapping) {
-    (void)names;
-    sig_index_.emplace(signature, static_cast<int>(sig_index_.size()));
-  }
-  for (const auto& [signature, names] : mapping) {
-    (void)names;
-    reduced_index_.emplace(ReducedSignature(signature),
-                           sig_index_.at(signature));
-  }
-
-  resolved_.resize(sig_index_.size());
-  for (const auto& [signature, names] : mapping) {
-    ResolvedSig& sig = resolved_[sig_index_.at(signature)];
+    (void)signature;
+    ResolvedSig& sig = resolved_.emplace_back();
     for (const std::string& name : names) {
       auto it = laws_.find(name);
       if (it == laws_.end()) {
@@ -154,15 +140,22 @@ void IgkwModel::FinalizeTables() {
       sig.laws.push_back(it->second);
     }
   }
+  GP_CHECK_EQ(resolved_.size(), kw_.sig_index_.size());
 }
 
-int IgkwModel::ResolveSid(const dnn::Layer& layer) const {
-  const std::string signature = dnn::LayerSignature(layer);
-  auto it = sig_index_.find(signature);
-  if (it != sig_index_.end()) return it->second;
-  auto reduced = reduced_index_.find(ReducedSignature(signature));
-  if (reduced != reduced_index_.end()) return reduced->second;
-  return -1;
+const std::string& IgkwModel::NearestTrainingGpu(
+    const gpuexec::GpuSpec& gpu) const {
+  const std::string* nearest = &training_gpus_.front();
+  double best = 1e300;
+  for (const std::string& name : training_gpus_) {
+    const double gap = std::fabs(
+        gpuexec::GpuByName(name).bandwidth_gbps - gpu.bandwidth_gbps);
+    if (gap < best) {
+      best = gap;
+      nearest = &name;
+    }
+  }
+  return *nearest;
 }
 
 double IgkwModel::PredictLayerResolved(int sid, const dnn::Layer& layer,
@@ -170,20 +163,13 @@ double IgkwModel::PredictLayerResolved(int sid, const dnn::Layer& layer,
                                        const std::vector<double>& features,
                                        std::int64_t batch) const {
   // Fallbacks route through the nearest-bandwidth training GPU's KW
-  // estimate, scaled by the bandwidth ratio (memory-bound default).
+  // estimate, scaled by the bandwidth ratio (memory-bound default). The
+  // sid is kw_'s, so the KW model needs no second resolution.
   auto fallback = [&]() {
-    std::string nearest = training_gpus_.front();
-    double best = 1e300;
-    for (const std::string& name : training_gpus_) {
-      const double gap = std::fabs(
-          gpuexec::GpuByName(name).bandwidth_gbps - gpu.bandwidth_gbps);
-      if (gap < best) {
-        best = gap;
-        nearest = name;
-      }
-    }
+    const std::string& nearest = NearestTrainingGpu(gpu);
     const double near_bw = gpuexec::GpuByName(nearest).bandwidth_gbps;
-    return kw_.PredictLayerUs(layer, nearest, batch) *
+    return kw_.PredictLayerResolved(kw_.GpuIndex(nearest), sid, layer,
+                                    nearest, batch) *
            (near_bw / gpu.bandwidth_gbps);
   };
   if (sid < 0) return fallback();
@@ -210,23 +196,22 @@ double IgkwModel::PredictLayerResolved(int sid, const dnn::Layer& layer,
 double IgkwModel::PredictLayerUs(const dnn::Layer& layer,
                                  const gpuexec::GpuSpec& gpu,
                                  std::int64_t batch) const {
-  return PredictLayerResolved(ResolveSid(layer), layer, gpu, Features(gpu),
-                              batch);
+  return PredictLayerResolved(kw_.ResolveSid(layer), layer, gpu,
+                              Features(gpu), batch);
 }
 
 double IgkwModel::PredictUs(const dnn::Network& network,
                             const gpuexec::GpuSpec& gpu,
                             std::int64_t batch) const {
   // GPU features are evaluated once per call, and per-layer signature
-  // resolution is memoized per network, so the loop below does no string
-  // building, hashing, or map lookups.
+  // resolution is memoized per network (in kw_, shared with KW), so the
+  // loop below does no string building, hashing, or map lookups.
   const std::vector<double> features = Features(gpu);
-  const std::vector<int>* sids = predict_cache_.Get(
-      network, [this](const dnn::Layer& layer) { return ResolveSid(layer); });
+  const std::vector<int>& sids = kw_.SidsFor(network);
   const std::vector<dnn::Layer>& layers = network.layers();
   double total = 0;
   for (std::size_t i = 0; i < layers.size(); ++i) {
-    total += PredictLayerResolved((*sids)[i], layers[i], gpu, features, batch);
+    total += PredictLayerResolved(sids[i], layers[i], gpu, features, batch);
   }
   return total;
 }
@@ -237,30 +222,22 @@ PredictionPlan IgkwModel::CompilePlan(const dnn::Network& network,
   // The nearest-bandwidth training GPU and its scaling ratio depend
   // only on the target spec, so they are resolved once per plan instead
   // of once per fallback layer per query.
-  std::string nearest = training_gpus_.front();
-  double best = 1e300;
-  for (const std::string& name : training_gpus_) {
-    const double gap = std::fabs(
-        gpuexec::GpuByName(name).bandwidth_gbps - gpu.bandwidth_gbps);
-    if (gap < best) {
-      best = gap;
-      nearest = name;
-    }
-  }
+  const std::string& nearest = NearestTrainingGpu(gpu);
+  const int nearest_idx = kw_.GpuIndex(nearest);
   const double near_bw = gpuexec::GpuByName(nearest).bandwidth_gbps;
   const double ratio = near_bw / gpu.bandwidth_gbps;
 
-  const std::vector<int>* sids = predict_cache_.Get(
-      network, [this](const dnn::Layer& layer) { return ResolveSid(layer); });
+  const std::vector<int>& sids = kw_.SidsFor(network);
   const std::vector<dnn::Layer>& layers = network.layers();
   PredictionPlan plan;
   for (std::size_t i = 0; i < layers.size(); ++i) {
-    const int sid = (*sids)[i];
+    const int sid = sids[i];
     if (sid < 0 || resolved_[sid].fallback) {
       // Nearest-GPU KW estimate scaled by the bandwidth ratio — the KW
-      // model compiles the layer with `ratio` as the trailing scale,
-      // reproducing `kw_.PredictLayerUs(...) * ratio` bit-for-bit.
-      kw_.CompileLayerInto(layers[i], nearest, ratio, plan);
+      // model compiles the layer (same sid) with `ratio` as the
+      // trailing scale, reproducing the PredictUs fallback bit-for-bit.
+      kw_.CompileResolvedInto(nearest_idx, sid, layers[i], nearest, ratio,
+                              plan);
       continue;
     }
     plan.BeginLayer(mean_calibration_, 1.0);
@@ -273,9 +250,8 @@ PredictionPlan IgkwModel::CompilePlan(const dnn::Network& network,
   return plan;
 }
 
-const PredictionPlan* IgkwModel::PlanForFp(const dnn::Network& network,
-                                           std::uint64_t fingerprint,
-                                           const gpuexec::GpuSpec& gpu) const {
+const PredictionPlan* IgkwModel::PlanFor(const dnn::Network& network,
+                                         const gpuexec::GpuSpec& gpu) const {
   // Spec-driven slot key: everything a plan bakes in — the scaling
   // features and the fallback bandwidth ratio — derives from these two
   // numbers, so hypothetical GPUs (no stable name) key correctly and
@@ -283,37 +259,17 @@ const PredictionPlan* IgkwModel::PlanForFp(const dnn::Network& network,
   PlanCache::SlotKey slot;
   slot.feature_a = gpu.bandwidth_gbps;
   slot.feature_b = gpu.fp32_tflops;
-  return plan_cache_.Get(network, fingerprint, slot, [&] {
-    return CompilePlan(network, gpu);
-  });
-}
-
-const PredictionPlan* IgkwModel::PlanFor(const dnn::Network& network,
-                                         const gpuexec::GpuSpec& gpu) const {
-  return PlanForFp(network, NetworkFingerprint(network), gpu);
+  return plan_cache_.Get(network, slot,
+                         [&] { return CompilePlan(network, gpu); });
 }
 
 void IgkwModel::PredictMany(std::span<const PredictQuery> queries,
                             std::span<double> out_us) const {
-  GP_CHECK_EQ(queries.size(), out_us.size());
-  const dnn::Network* last_network = nullptr;
-  const gpuexec::GpuSpec* last_gpu = nullptr;
-  std::uint64_t fingerprint = 0;
-  const PredictionPlan* plan = nullptr;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const PredictQuery& query = queries[i];
-    if (query.network != last_network) {
-      fingerprint = NetworkFingerprint(*query.network);
-      last_network = query.network;
-      last_gpu = nullptr;
-    }
-    if (query.gpu != last_gpu) {
-      plan = PlanForFp(*query.network, fingerprint, *query.gpu);
-      last_gpu = query.gpu;
-    }
-    out_us[i] = plan->EvalUs(query.batch);
-  }
-  internal::CountPlanQueries(queries.size());
+  internal::SweepPlans(
+      queries, out_us,
+      [this](const dnn::Network& network, const gpuexec::GpuSpec& gpu) {
+        return PlanFor(network, gpu);
+      });
 }
 
 const InterGpuKernelModel* IgkwModel::KernelLaw(

@@ -20,14 +20,12 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dataset/dataset.h"
 #include "dnn/layer.h"
 #include "gpuexec/kernel.h"
 #include "models/kw_model.h"
-#include "models/network_cache.h"
 #include "models/predictor.h"
 
 namespace gpuperf::models {
@@ -107,11 +105,14 @@ class IgkwModel : public Predictor {
   /** Feature vector of a GPU spec under the configured ScalingFeature. */
   std::vector<double> Features(const gpuexec::GpuSpec& gpu) const;
 
-  /** Resolves the mapping table into per-signature law lists. */
+  /**
+   * Resolves the mapping table into per-signature law lists, indexed by
+   * the inner KW model's signature ids.
+   */
   void FinalizeTables();
 
-  /** Dense signature id of `layer` (full, then reduced), or -1. */
-  int ResolveSid(const dnn::Layer& layer) const;
+  /** The training GPU whose bandwidth is closest to `gpu`'s. */
+  const std::string& NearestTrainingGpu(const gpuexec::GpuSpec& gpu) const;
 
   /** Layer prediction from a resolved sid and precomputed GPU features. */
   double PredictLayerResolved(int sid, const dnn::Layer& layer,
@@ -128,23 +129,16 @@ class IgkwModel : public Predictor {
   PredictionPlan CompilePlan(const dnn::Network& network,
                              const gpuexec::GpuSpec& gpu) const;
 
-  /** PlanFor with the network fingerprint already computed. */
-  const PredictionPlan* PlanForFp(const dnn::Network& network,
-                                  std::uint64_t fingerprint,
-                                  const gpuexec::GpuSpec& gpu) const;
-
   KwModel kw_;
   double mean_calibration_ = 1.0;  // mean of the training GPUs' factors
   ScalingFeature feature_ = ScalingFeature::kBandwidth;
   std::map<std::string, InterGpuKernelModel> laws_;
   std::vector<std::string> training_gpus_;
 
-  // --- Dense tables built by FinalizeTables(); indexed by sid.
-  std::unordered_map<std::string, int> sig_index_;
-  std::unordered_map<std::string, int> reduced_index_;
+  // Built by FinalizeTables(); indexed by kw_'s signature ids. Layers
+  // resolve through kw_ (and its per-network sid memo), so IGKW keeps
+  // no signature index of its own.
   std::vector<ResolvedSig> resolved_;
-  // network name -> per-layer sids, filled lazily on prediction.
-  NetworkSidCache predict_cache_;
   // (network, gpu features) -> compiled plan, filled lazily by PlanFor.
   PlanCache plan_cache_;
 };

@@ -340,13 +340,12 @@ KwModel::Coverage KwModel::CoverageFor(const dnn::Network& network,
   coverage.layers = static_cast<int>(network.layers().size());
   // Reuses the per-network sid memo, so steady-state coverage checks are
   // one hash lookup, not one signature build per layer.
-  const std::vector<int>* sids = predict_cache_.Get(
-      network, [this](const dnn::Layer& layer) { return ResolveSid(layer); });
-  for (std::size_t i = 0; i < sids->size(); ++i) {
+  const std::vector<int>& sids = SidsFor(network);
+  for (std::size_t i = 0; i < sids.size(); ++i) {
     // Layers that launch no kernels (flatten, dropout) never appear in
     // profiled traces, so they have no mapping entry by construction;
     // the model still predicts them exactly (zero time).
-    if ((*sids)[i] >= 0 ||
+    if (sids[i] >= 0 ||
         !gpuexec::LayerLaunchesKernels(network.layers()[i].kind)) {
       ++coverage.mapped;
     }
@@ -361,6 +360,19 @@ int KwModel::ResolveSid(const dnn::Layer& layer) const {
   auto reduced = reduced_index_.find(ReducedSignature(signature));
   if (reduced != reduced_index_.end()) return reduced->second;
   return -1;
+}
+
+const std::vector<int>& KwModel::SidsFor(const dnn::Network& network) const {
+  return *predict_cache_.Get(
+      network, [this](const dnn::Layer& layer) { return ResolveSid(layer); });
+}
+
+int KwModel::GpuIndex(const std::string& gpu_name) const {
+  auto it = gpu_index_.find(gpu_name);
+  if (it == gpu_index_.end()) {
+    Fatal("KW model not trained for GPU " + gpu_name);
+  }
+  return it->second;
 }
 
 double KwModel::PredictLayerResolved(int gpu_idx, int sid,
@@ -397,13 +409,10 @@ bool KwModel::AppendKernelTerms(const dnn::Layer& layer,
                                 const std::string& gpu_name,
                                 std::int64_t batch,
                                 std::vector<KernelTerm>* out) const {
-  auto gpu_it = gpu_index_.find(gpu_name);
-  if (gpu_it == gpu_index_.end()) {
-    Fatal("KW model not trained for GPU " + gpu_name);
-  }
+  const int gpu_idx = GpuIndex(gpu_name);
   const int sid = ResolveSid(layer);
-  if (sid < 0 || resolved_[gpu_it->second][sid].use_lw) return false;
-  const ResolvedLayer& resolved = resolved_[gpu_it->second][sid];
+  if (sid < 0 || resolved_[gpu_idx][sid].use_lw) return false;
+  const ResolvedLayer& resolved = resolved_[gpu_idx][sid];
 
   const double x_input = static_cast<double>(batch * layer.InputElements());
   const double x_operation =
@@ -438,31 +447,22 @@ int KwModel::UpdateClusterFit(const std::string& gpu_name, int cluster_id,
 double KwModel::PredictLayerUs(const dnn::Layer& layer,
                                const std::string& gpu_name,
                                std::int64_t batch) const {
-  auto gpu_it = gpu_index_.find(gpu_name);
-  if (gpu_it == gpu_index_.end()) {
-    Fatal("KW model not trained for GPU " + gpu_name);
-  }
-  return PredictLayerResolved(gpu_it->second, ResolveSid(layer), layer,
+  return PredictLayerResolved(GpuIndex(gpu_name), ResolveSid(layer), layer,
                               gpu_name, batch);
 }
 
 double KwModel::PredictUs(const dnn::Network& network,
                           const gpuexec::GpuSpec& gpu,
                           std::int64_t batch) const {
-  auto gpu_it = gpu_index_.find(gpu.name);
-  if (gpu_it == gpu_index_.end()) {
-    Fatal("KW model not trained for GPU " + gpu.name);
-  }
-  const int gpu_idx = gpu_it->second;
+  const int gpu_idx = GpuIndex(gpu.name);
   // Per-layer signature resolution is memoized per network, so the loop
   // below does no string building, hashing, or map lookups.
-  const std::vector<int>* sids = predict_cache_.Get(
-      network, [this](const dnn::Layer& layer) { return ResolveSid(layer); });
+  const std::vector<int>& sids = SidsFor(network);
   const std::vector<dnn::Layer>& layers = network.layers();
   double total = 0;
   for (std::size_t i = 0; i < layers.size(); ++i) {
-    total += PredictLayerResolved(gpu_idx, (*sids)[i], layers[i], gpu.name,
-                                  batch);
+    total +=
+        PredictLayerResolved(gpu_idx, sids[i], layers[i], gpu.name, batch);
   }
   return total;
 }
@@ -471,15 +471,15 @@ void KwModel::CompileLayerInto(const dnn::Layer& layer,
                                const std::string& gpu_name,
                                double extra_scale,
                                PredictionPlan& plan) const {
-  auto gpu_it = gpu_index_.find(gpu_name);
-  if (gpu_it == gpu_index_.end()) {
-    Fatal("KW model not trained for GPU " + gpu_name);
-  }
-  const int gpu_idx = gpu_it->second;
-  const int sid = ResolveSid(layer);
-  // Mirrors PredictLayerResolved exactly: the plan's per-layer sweep
-  // performs the same floating-point operations in the same order, so
-  // EvalUs is bit-identical to the per-query path.
+  CompileResolvedInto(GpuIndex(gpu_name), ResolveSid(layer), layer, gpu_name,
+                      extra_scale, plan);
+}
+
+void KwModel::CompileResolvedInto(int gpu_idx, int sid,
+                                  const dnn::Layer& layer,
+                                  const std::string& gpu_name,
+                                  double extra_scale,
+                                  PredictionPlan& plan) const {
   if (sid < 0 || resolved_[gpu_idx][sid].use_lw) {
     // Layer-wise fallback: max(0, fit(FLOPs)), no calibration factor.
     plan.BeginLayer(1.0, extra_scale, layer.name);
@@ -498,59 +498,35 @@ void KwModel::CompileLayerInto(const dnn::Layer& layer,
 }
 
 PredictionPlan KwModel::CompilePlan(const dnn::Network& network,
-                                    const std::string& gpu_name) const {
+                                    int gpu_idx) const {
+  // Signature ids come from the per-network memo: a network compiled
+  // for all seven GPUs builds its signatures once, not once per GPU.
+  const std::vector<int>& sids = SidsFor(network);
+  const std::vector<dnn::Layer>& layers = network.layers();
   PredictionPlan plan;
-  for (const dnn::Layer& layer : network.layers()) {
-    CompileLayerInto(layer, gpu_name, 1.0, plan);
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    CompileResolvedInto(gpu_idx, sids[i], layers[i], gpu_names_[gpu_idx], 1.0,
+                        plan);
   }
   return plan;
 }
 
-const PredictionPlan* KwModel::PlanForFp(const dnn::Network& network,
-                                         std::uint64_t fingerprint,
-                                         const gpuexec::GpuSpec& gpu) const {
-  auto gpu_it = gpu_index_.find(gpu.name);
-  if (gpu_it == gpu_index_.end()) {
-    Fatal("KW model not trained for GPU " + gpu.name);
-  }
-  PlanCache::SlotKey slot;
-  slot.gpu_index = gpu_it->second;
-  return plan_cache_.Get(network, fingerprint, slot, [&] {
-    return CompilePlan(network, gpu.name);
-  });
-}
-
 const PredictionPlan* KwModel::PlanFor(const dnn::Network& network,
                                        const gpuexec::GpuSpec& gpu) const {
-  return PlanForFp(network, NetworkFingerprint(network), gpu);
+  PlanCache::SlotKey slot;
+  slot.gpu_index = GpuIndex(gpu.name);
+  return plan_cache_.Get(network, slot, [&] {
+    return CompilePlan(network, slot.gpu_index);
+  });
 }
 
 void KwModel::PredictMany(std::span<const PredictQuery> queries,
                           std::span<double> out_us) const {
-  GP_CHECK_EQ(queries.size(), out_us.size());
-  // Queries for the same network (and same (network, GPU) pair) tend to
-  // arrive in runs — a serving matrix fill is one row per network — so
-  // the sweep memoizes the fingerprint per network run and the plan per
-  // pair run. Steady state is then pure EvalUs: no hashing, no locks,
-  // no allocation.
-  const dnn::Network* last_network = nullptr;
-  const gpuexec::GpuSpec* last_gpu = nullptr;
-  std::uint64_t fingerprint = 0;
-  const PredictionPlan* plan = nullptr;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const PredictQuery& query = queries[i];
-    if (query.network != last_network) {
-      fingerprint = NetworkFingerprint(*query.network);
-      last_network = query.network;
-      last_gpu = nullptr;
-    }
-    if (query.gpu != last_gpu) {
-      plan = PlanForFp(*query.network, fingerprint, *query.gpu);
-      last_gpu = query.gpu;
-    }
-    out_us[i] = plan->EvalUs(query.batch);
-  }
-  internal::CountPlanQueries(queries.size());
+  internal::SweepPlans(
+      queries, out_us,
+      [this](const dnn::Network& network, const gpuexec::GpuSpec& gpu) {
+        return PlanFor(network, gpu);
+      });
 }
 
 const std::map<std::string, KernelModel>& KwModel::KernelModels(
@@ -575,11 +551,7 @@ int KwModel::KernelCount(const std::string& gpu_name) const {
 int KwModel::ClusterCount(const std::string& gpu_name) const {
   // Counted once in FinalizeTables(); this used to sort + unique the
   // whole kernel set on every call.
-  auto it = gpu_index_.find(gpu_name);
-  if (it == gpu_index_.end()) {
-    Fatal("KW model not trained for GPU " + gpu_name);
-  }
-  return cluster_counts_[it->second];
+  return cluster_counts_[GpuIndex(gpu_name)];
 }
 
 }  // namespace gpuperf::models

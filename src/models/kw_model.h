@@ -102,9 +102,9 @@ class KwModel : public Predictor {
   /**
    * Appends `layer`'s compiled terms to `plan` as one plan layer whose
    * subtotal is scaled by the GPU calibration factor (resolved layers)
-   * and then by `extra_scale` — the IGKW nearest-GPU fallback compiles
-   * through this with its bandwidth ratio; everyone else passes 1.0.
-   * Fatal on an untrained GPU.
+   * and then by `extra_scale` (1.0 unless the caller rescales the
+   * layer). Resolves the layer's signature, then compiles it exactly as
+   * PlanFor does. Fatal on an untrained GPU.
    */
   void CompileLayerInto(const dnn::Layer& layer, const std::string& gpu_name,
                         double extra_scale, PredictionPlan& plan) const;
@@ -193,6 +193,9 @@ class KwModel : public Predictor {
 
  private:
   friend class ModelIo;
+  // IGKW resolves layers through this model's signature ids and
+  // per-network memo, and compiles its fallback layers through it.
+  friend class IgkwModel;
 
   /** One mapping-table kernel resolved to its fitted line. */
   struct ResolvedKernel {
@@ -219,19 +222,32 @@ class KwModel : public Predictor {
   /** Dense signature id of `layer` (full, then reduced), or -1. */
   int ResolveSid(const dnn::Layer& layer) const;
 
+  /**
+   * The per-layer signature ids of `network`, resolved on first sight
+   * and memoized — the one resolution path of PredictUs, plan compiles
+   * and coverage checks (and of IGKW, which shares these ids).
+   */
+  const std::vector<int>& SidsFor(const dnn::Network& network) const;
+
+  /** Dense index of a trained GPU; Fatal on an untrained one. */
+  int GpuIndex(const std::string& gpu_name) const;
+
   /** Hot-path layer prediction from pre-resolved ids; no string work. */
   double PredictLayerResolved(int gpu_idx, int sid, const dnn::Layer& layer,
                               const std::string& gpu_name,
                               std::int64_t batch) const;
 
-  /** Compiles the whole network for one GPU (PlanFor cache misses). */
-  PredictionPlan CompilePlan(const dnn::Network& network,
-                             const std::string& gpu_name) const;
+  /**
+   * CompileLayerInto with the GPU index and signature id already
+   * resolved. Mirrors PredictLayerResolved: the plan's per-layer sweep
+   * performs the same floating-point operations in the same order.
+   */
+  void CompileResolvedInto(int gpu_idx, int sid, const dnn::Layer& layer,
+                           const std::string& gpu_name, double extra_scale,
+                           PredictionPlan& plan) const;
 
-  /** PlanFor with the network fingerprint already computed. */
-  const PredictionPlan* PlanForFp(const dnn::Network& network,
-                                  std::uint64_t fingerprint,
-                                  const gpuexec::GpuSpec& gpu) const;
+  /** Compiles the whole network for one GPU (PlanFor cache misses). */
+  PredictionPlan CompilePlan(const dnn::Network& network, int gpu_idx) const;
 
   KwOptions options_;
   // gpu name -> kernel name -> trained model.

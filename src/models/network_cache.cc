@@ -5,15 +5,7 @@
 namespace gpuperf::models {
 
 std::uint64_t NetworkFingerprint(const dnn::Network& network) {
-  std::uint64_t hash = network.layers().size();
-  for (const dnn::Layer& layer : network.layers()) {
-    hash = HashCombine(hash, static_cast<std::uint64_t>(layer.kind));
-    hash = HashCombine(hash,
-                       static_cast<std::uint64_t>(layer.InputElements()));
-    hash = HashCombine(
-        hash, static_cast<std::uint64_t>(layer.output.Elements()));
-  }
-  return hash;
+  return HashCombine(network.structure_hash(), network.layers().size());
 }
 
 NetworkSidCache::NetworkSidCache(const NetworkSidCache& other) {

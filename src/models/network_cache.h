@@ -5,15 +5,20 @@
  * @file
  * Per-network memo of resolved layer ids for the prediction hot path.
  *
- * KwModel and IgkwModel resolve every layer of a network to a dense
- * signature id (an index into tables precomputed at train time). The
- * resolution itself builds and hashes signature strings, so it is done
- * once per distinct network and memoized here; later PredictUs calls on
- * the same network do a single hash lookup per network, not per layer.
+ * KwModel resolves every layer of a network to a dense signature id (an
+ * index into tables precomputed at train time). The resolution itself
+ * builds and hashes signature strings, so it is done once per distinct
+ * network and memoized here. Every KW path — PredictUs, PlanFor
+ * compiles, coverage checks — reads the one memo, and IgkwModel
+ * resolves through its inner KwModel, so both models share the same ids
+ * and the same memo: a network's signatures are built once per model.
  *
  * Entries are keyed by network name and validated against a structural
- * fingerprint (layer kinds and shapes), so re-using a name for a
- * different architecture recomputes instead of returning stale ids.
+ * fingerprint (layer kinds and element counts), so re-using a name for a
+ * different architecture recomputes instead of returning stale ids. The
+ * fingerprint costs O(1): dnn::Network::AppendLayer folds each layer
+ * into a running hash as the network is built.
+ *
  * Lookups take a shared lock; the cache is safe to hit from concurrent
  * serving threads. Copying a model copies the cached entries but gives
  * the copy its own lock.
@@ -31,7 +36,11 @@
 
 namespace gpuperf::models {
 
-/** Structural hash of a network (layer kinds and element counts). */
+/**
+ * Structural hash of a network (layer kinds and element counts), read
+ * from the hash Network::AppendLayer maintains. An in-memory cache key
+ * only; never persisted, so its values may change between releases.
+ */
 std::uint64_t NetworkFingerprint(const dnn::Network& network);
 
 /** Thread-safe network-name -> per-layer-id memo. */

@@ -145,11 +145,15 @@ const PredictionPlan* PlanCache::InsertLocked(
   entry.slots.emplace_back(slot, std::move(plan));
   const PredictionPlan* installed = entry.slots.back().second.get();
   PlanMetrics::Get().compiles.Increment();
-  LogDebug("prediction plan compiled",
-           {{"network", name},
-            {"slot", SlotKeyString(slot)},
-            {"layers", std::to_string(installed->layer_count())},
-            {"terms", std::to_string(installed->term_count())}});
+  // The fields are formatted only when the line will be emitted: a cold
+  // sweep compiles thousands of plans with debug logging off.
+  if (MinLogLevel() <= LogLevel::kDebug) {
+    LogDebug("prediction plan compiled",
+             {{"network", name},
+              {"slot", SlotKeyString(slot)},
+              {"layers", std::to_string(installed->layer_count())},
+              {"terms", std::to_string(installed->term_count())}});
+  }
   return installed;
 }
 

@@ -29,7 +29,11 @@
  * batch sizes.
  *
  * Plans live in a per-model PlanCache keyed by network name (validated
- * against the structural fingerprint) and a per-GPU slot. A model
+ * against the structural fingerprint, an O(1) read of the hash
+ * dnn::Network::AppendLayer maintains) and a per-GPU slot. Compiling a
+ * plan resolves layers through the model's per-network sid memo (the
+ * one PredictUs reads; IGKW shares its inner KW model's), so a network
+ * compiled for every GPU builds its layer signatures once. A model
  * generation owns its cache, so bundle promotion/rollback through
  * models::BundleRegistry invalidates plans for free: a new generation
  * is a new KwModel with an empty cache, while snapshots of the old
@@ -37,7 +41,8 @@
  *
  * Observability: `gpuperf_predictor_plan_{compiles,queries,
  * invalidations}` in obs::MetricsRegistry::Global(), plus a structured
- * debug log line per compilation.
+ * debug log line per compilation (formatted only when debug logging is
+ * on).
  */
 
 #include <cstdint>
@@ -52,6 +57,7 @@
 #include "common/synchronization.h"
 #include "dnn/network.h"
 #include "models/network_cache.h"
+#include "models/predictor.h"
 
 namespace gpuperf::models {
 
@@ -152,15 +158,13 @@ class PlanCache {
   /**
    * The plan for (`network`, `slot`), compiling it with `compile()` (a
    * callable returning a PredictionPlan) on first sight or after a
-   * fingerprint mismatch. `fingerprint` is NetworkFingerprint(network),
-   * passed in so batched sweeps hash each network once per run, not
-   * once per (network, GPU) cell. The returned pointer stays valid
-   * until Clear() — models only Clear() when retrained or reloaded.
+   * fingerprint mismatch. The returned pointer stays valid until
+   * Clear() — models only Clear() when retrained or reloaded.
    */
   template <typename CompileFn>
-  const PredictionPlan* Get(const dnn::Network& network,
-                            std::uint64_t fingerprint, const SlotKey& slot,
+  const PredictionPlan* Get(const dnn::Network& network, const SlotKey& slot,
                             const CompileFn& compile) const {
+    const std::uint64_t fingerprint = NetworkFingerprint(network);
     {
       SharedReaderLock lock(mu_);
       const PredictionPlan* hit =
@@ -209,6 +213,31 @@ namespace internal {
 
 /** Bumps `gpuperf_predictor_plan_queries` (PredictMany implementations). */
 void CountPlanQueries(std::uint64_t n);
+
+/**
+ * The PredictMany sweep of the plan-compiling models. Queries for the
+ * same (network, GPU) pair tend to arrive in runs — a serving matrix
+ * fill is one row per network — so the plan is looked up once per run
+ * with `plan_for(network, gpu)` and steady state is pure EvalUs: no
+ * hashing, no locks, no allocation.
+ */
+template <typename PlanForFn>
+void SweepPlans(std::span<const PredictQuery> queries,
+                std::span<double> out_us, const PlanForFn& plan_for) {
+  GP_CHECK_EQ(queries.size(), out_us.size());
+  const PredictQuery* run = nullptr;
+  const PredictionPlan* plan = nullptr;
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const PredictQuery& query = queries[i];
+    if (run == nullptr || query.network != run->network ||
+        query.gpu != run->gpu) {
+      plan = plan_for(*query.network, *query.gpu);
+      run = &query;
+    }
+    out_us[i] = plan->EvalUs(query.batch);
+  }
+  CountPlanQueries(queries.size());
+}
 
 }  // namespace internal
 

@@ -69,6 +69,21 @@ dnn::Network ExoticNetwork() {
   return b.Build();
 }
 
+/**
+ * IGKW targets: every real spec (trained and untrained alike) plus a
+ * hypothetical one, which exercises the spec-keyed plan slots and the
+ * nearest-bandwidth fallback scaling.
+ */
+std::vector<gpuexec::GpuSpec> IgkwTargets() {
+  std::vector<gpuexec::GpuSpec> targets = gpuexec::AllGpus();
+  gpuexec::GpuSpec hypothetical = gpuexec::GpuByName("A100");
+  hypothetical.name = "HYPO-1";
+  hypothetical.bandwidth_gbps *= 1.7;
+  hypothetical.fp32_tflops *= 1.3;
+  targets.push_back(hypothetical);
+  return targets;
+}
+
 TEST(PredictionPlanTest, KwPredictManyBitwiseEqualsPredictUsEverywhere) {
   const FullGpuCampaign& campaign = FullGpuCampaign::Get();
   const dnn::Network exotic = ExoticNetwork();
@@ -104,15 +119,7 @@ TEST(PredictionPlanTest, IgkwPredictManyBitwiseEqualsPredictUs) {
   IgkwModel igkw;
   igkw.Train(campaign.data, campaign.split, {"A100", "A40", "TITAN RTX"});
 
-  // Target GPUs: every real spec (trained and untrained alike) plus a
-  // hypothetical one, which exercises the spec-keyed plan slots and the
-  // nearest-bandwidth fallback scaling.
-  std::vector<gpuexec::GpuSpec> targets = gpuexec::AllGpus();
-  gpuexec::GpuSpec hypothetical = gpuexec::GpuByName("A100");
-  hypothetical.name = "HYPO-1";
-  hypothetical.bandwidth_gbps *= 1.7;
-  hypothetical.fp32_tflops *= 1.3;
-  targets.push_back(hypothetical);
+  const std::vector<gpuexec::GpuSpec> targets = IgkwTargets();
 
   const dnn::Network exotic = ExoticNetwork();
   std::vector<const dnn::Network*> networks;
@@ -137,6 +144,122 @@ TEST(PredictionPlanTest, IgkwPredictManyBitwiseEqualsPredictUs) {
     EXPECT_TRUE(BitEqual(batched[i], expected))
         << queries[i].network->name() << " on " << queries[i].gpu->name
         << " batch " << queries[i].batch;
+  }
+}
+
+/** Plan and per-query values of one fresh model copy, in a fixed order. */
+struct OrderedValues {
+  std::vector<double> plan;   // PlanFor(...)->EvalUs(batch)
+  std::vector<double> query;  // PredictUs(...)
+  int fallback_layers = 0;    // plan layers rescaled by a bandwidth ratio
+};
+
+/**
+ * Evaluates every (network, target, batch) through PlanFor and through
+ * PredictUs on a fresh copy of `trained` (empty sid memo, empty plan
+ * cache), running the plan compiles first or the per-query calls first.
+ * Whichever runs first fills the per-network sid memo the other reads.
+ */
+template <typename Model>
+OrderedValues EvaluateInOrder(const Model& trained, bool plans_first,
+                              const std::vector<const dnn::Network*>& networks,
+                              const std::vector<gpuexec::GpuSpec>& targets) {
+  const Model model = trained;
+  OrderedValues values;
+  auto compile = [&] {
+    for (const dnn::Network* network : networks) {
+      for (const gpuexec::GpuSpec& gpu : targets) {
+        const PredictionPlan* plan = model.PlanFor(*network, gpu);
+        for (std::size_t l = 0; l < plan->layer_count(); ++l) {
+          if (plan->layer_scale_b(l) != 1.0) ++values.fallback_layers;
+        }
+        for (std::int64_t batch : kBatches) {
+          values.plan.push_back(plan->EvalUs(batch));
+        }
+      }
+    }
+  };
+  auto query = [&] {
+    for (const dnn::Network* network : networks) {
+      for (const gpuexec::GpuSpec& gpu : targets) {
+        for (std::int64_t batch : kBatches) {
+          values.query.push_back(model.PredictUs(*network, gpu, batch));
+        }
+      }
+    }
+  };
+  if (plans_first) {
+    compile();
+    query();
+  } else {
+    query();
+    compile();
+  }
+  return values;
+}
+
+/** Asserts both orders agree bit for bit, plans and queries alike. */
+void ExpectOrderIndependent(const OrderedValues& plans_first,
+                            const OrderedValues& queries_first) {
+  ASSERT_EQ(plans_first.plan.size(), queries_first.plan.size());
+  ASSERT_EQ(plans_first.query.size(), plans_first.plan.size());
+  ASSERT_EQ(queries_first.query.size(), plans_first.plan.size());
+  for (std::size_t i = 0; i < plans_first.plan.size(); ++i) {
+    EXPECT_TRUE(BitEqual(plans_first.plan[i], plans_first.query[i])) << i;
+    EXPECT_TRUE(BitEqual(plans_first.plan[i], queries_first.plan[i])) << i;
+    EXPECT_TRUE(BitEqual(plans_first.query[i], queries_first.query[i])) << i;
+  }
+  EXPECT_EQ(plans_first.fallback_layers, queries_first.fallback_layers);
+}
+
+// KW plan compiles and PredictUs read one per-network sid memo (and IGKW
+// reads its inner KW model's), so neither may depend on which filled it.
+TEST(PredictionPlanTest, SharedSidMemoGivesSameResultsInEitherOrder) {
+  const FullGpuCampaign& campaign = FullGpuCampaign::Get();
+  const dnn::Network exotic = ExoticNetwork();
+  std::vector<const dnn::Network*> networks;
+  for (const dnn::Network& network : campaign.networks) {
+    networks.push_back(&network);
+  }
+  networks.push_back(&exotic);
+
+  KwModel kw;  // never queried: each copy starts with an empty memo
+  kw.Train(campaign.data, campaign.split);
+  ExpectOrderIndependent(
+      EvaluateInOrder(kw, true, networks, gpuexec::AllGpus()),
+      EvaluateInOrder(kw, false, networks, gpuexec::AllGpus()));
+
+  IgkwModel igkw;
+  igkw.Train(campaign.data, campaign.split, {"A100", "A40", "TITAN RTX"});
+  const std::vector<gpuexec::GpuSpec> targets = IgkwTargets();
+  const OrderedValues plans_first =
+      EvaluateInOrder(igkw, true, networks, targets);
+  ExpectOrderIndependent(plans_first,
+                         EvaluateInOrder(igkw, false, networks, targets));
+  // The sweep covers nearest-GPU fallback layers, which compile through
+  // the KW model with IGKW's sid and a bandwidth-ratio scale.
+  EXPECT_GT(plans_first.fallback_layers, 0);
+}
+
+// The public per-layer entry point resolves each layer's signature
+// itself; layer by layer it must rebuild exactly the plan PlanFor
+// compiles from the memoized ids.
+TEST(PredictionPlanTest, CompileLayerIntoRebuildsPlanForBitwise) {
+  const FullGpuCampaign& campaign = FullGpuCampaign::Get();
+  const dnn::Network exotic = ExoticNetwork();
+  for (const dnn::Network* network : {&campaign.networks[0], &exotic}) {
+    for (const gpuexec::GpuSpec& gpu : gpuexec::AllGpus()) {
+      PredictionPlan rebuilt;
+      for (const dnn::Layer& layer : network->layers()) {
+        campaign.kw.CompileLayerInto(layer, gpu.name, 1.0, rebuilt);
+      }
+      const PredictionPlan* plan = campaign.kw.PlanFor(*network, gpu);
+      ASSERT_EQ(rebuilt.term_count(), plan->term_count());
+      for (std::int64_t batch : kBatches) {
+        EXPECT_TRUE(BitEqual(rebuilt.EvalUs(batch), plan->EvalUs(batch)))
+            << network->name() << " on " << gpu.name << " batch " << batch;
+      }
+    }
   }
 }
 
@@ -310,6 +433,7 @@ TEST(PredictionPlanTest, PlanMetricsCountCompilesQueriesInvalidations) {
 
   KwModel kw;
   kw.Train(campaign.data, campaign.split);
+  const KwModel never_queried = kw;
 
   SetMinLogLevel(LogLevel::kDebug);
   CapturedLogLines().clear();
@@ -356,6 +480,19 @@ TEST(PredictionPlanTest, PlanMetricsCountCompilesQueriesInvalidations) {
   kw.PredictMany(query_b, one);
   EXPECT_EQ(invalidations.Value() - invalidations_0, 1u);
   EXPECT_EQ(compiles.Value() - compiles_0, 4u);
+
+  // The per-network sid memo retires on name reuse too: each shape
+  // predicts exactly as on a copy that never saw the name.
+  auto fresh_us = [&](const dnn::Network& network) {
+    const KwModel copy = never_queried;
+    return copy.PredictUs(network, a100, 4);
+  };
+  EXPECT_TRUE(BitEqual(one[0], fresh_us(network_b)));
+  EXPECT_TRUE(BitEqual(kw.PredictUs(network_b, a100, 4), one[0]));
+  dnn::NetworkBuilder shape_c("shape-shifter", "Test", dnn::Chw(3, 64, 64));
+  shape_c.Conv(16, 1, 1, 0).MaxPool(3, 2, 1);
+  const dnn::Network network_c = shape_c.Build();
+  EXPECT_TRUE(BitEqual(kw.PredictUs(network_c, a100, 4), fresh_us(network_c)));
 
   SetLogSinkForTest(previous_sink);
   SetMinLogLevel(LogLevel::kInfo);
