@@ -7,7 +7,13 @@
 // cost), an attached one adds single-digit percent — ~8% measured on
 // this synthetic sim, whose events average ~200ns; the recorder's own
 // per-event work is ~10ns (BM_RecorderEvent), so heavier simulations
-// see proportionally less.
+// see proportionally less. Exporting the recorded frames is a separate
+// cost with its own rows (BM_RecorderTimelineCsv, and
+// BM_RecorderTimelineCsvServing at serving scale).
+
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -194,6 +200,63 @@ void BM_RecorderTimelineCsv(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RecorderTimelineCsv)->Unit(benchmark::kMicrosecond);
+
+void BM_RecorderTimelineCsvServing(benchmark::State& state) {
+  // The "recorder and export" stage at serving scale: serving.cc's
+  // channel set (9 counters, the queue-depth gauge, the latency and
+  // residual sketches with its bounds) over a 2,400-frame ring of 100ms
+  // windows — a 240s serve-sim cell's --timeline-out export, ~86k rows.
+  constexpr int kFrames = 2400;
+  obs::FlightRecorderConfig config;
+  config.capacity = kFrames;
+  obs::FlightRecorder recorder(config);
+  recorder.Start(0);
+  std::vector<obs::FlightRecorder::CounterHandle> counters;
+  for (const char* name :
+       {"gpuperf_serving_jobs_completed", "gpuperf_serving_jobs_dropped",
+        "gpuperf_serving_jobs_shed", "gpuperf_serving_retries",
+        "gpuperf_serving_retries_suppressed", "gpuperf_serving_breaker_opens",
+        "gpuperf_serving_deadline_misses", "gpuperf_serving_hedges_issued",
+        "gpuperf_serving_hedges_won"}) {
+    counters.push_back(recorder.CounterChannel(name));
+  }
+  const obs::FlightRecorder::GaugeHandle depth =
+      recorder.GaugeChannel("gpuperf_serving_queue_depth");
+  const obs::FlightRecorder::SketchHandle latency =
+      recorder.SketchChannel("gpuperf_serving_latency_ms",
+                             {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000});
+  const obs::FlightRecorder::SketchHandle residual = recorder.SketchChannel(
+      "gpuperf_serving_residual_pct", {1, 2, 5, 10, 20, 50, 100});
+  // Deterministic, uneven per-window activity so values vary in width.
+  std::uint64_t lcg = 7;
+  auto next = [&lcg](std::uint64_t mod) {
+    lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+    return (lcg >> 33) % mod;
+  };
+  for (int frame = 0; frame < kFrames; ++frame) {
+    for (std::size_t c = 0; c < counters.size(); ++c) {
+      recorder.Count(counters[c], next(c == 0 ? 40 : 4));
+    }
+    recorder.SetGauge(depth, static_cast<std::int64_t>(next(8)));
+    for (std::uint64_t i = next(30); i > 0; --i) {
+      recorder.Observe(latency, 0.5 + static_cast<double>(next(2000)) / 3.0);
+      recorder.Observe(residual, static_cast<double>(next(1500)) / 13.0);
+    }
+    recorder.AdvanceTo(config.sample_period_us * (frame + 1));
+  }
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    obs::FlightTimeline timeline;
+    timeline.Append(recorder, "serve");
+    const std::string csv = timeline.Csv();
+    bytes = csv.size();
+    benchmark::DoNotOptimize(csv.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_RecorderTimelineCsvServing)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -101,7 +101,8 @@ cmake -B "$ASAN_BUILD" -S . -DGPUPERF_SANITIZE=address
 cmake --build "$ASAN_BUILD" -j --target \
   status_test csv_test model_io_test fault_injection_test \
   predictor_stack_test serving_test circuit_breaker_test \
-  bundle_registry_test cli_test
+  bundle_registry_test cli_test string_util_test flight_recorder_test \
+  span_tracer_test
 "./$ASAN_BUILD/tests/status_test"
 "./$ASAN_BUILD/tests/csv_test"
 "./$ASAN_BUILD/tests/model_io_test"
@@ -111,5 +112,9 @@ cmake --build "$ASAN_BUILD" -j --target \
 "./$ASAN_BUILD/tests/circuit_breaker_test"
 "./$ASAN_BUILD/tests/bundle_registry_test"
 "./$ASAN_BUILD/tests/cli_test"
+# The text exporters format into fixed stack buffers.
+"./$ASAN_BUILD/tests/string_util_test"
+"./$ASAN_BUILD/tests/flight_recorder_test"
+"./$ASAN_BUILD/tests/span_tracer_test"
 
 echo "verify: OK"

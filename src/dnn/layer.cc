@@ -1,8 +1,7 @@
 #include "dnn/layer.h"
 
-#include <charconv>
-
 #include "common/logging.h"
+#include "common/string_util.h"
 
 namespace gpuperf::dnn {
 
@@ -103,10 +102,8 @@ namespace {
 
 /** Appends `tag` then `value` in decimal (what "%ld" printed). */
 void AppendTagged(std::string& out, const char* tag, std::int64_t value) {
-  char digits[20];  // any int64, sign included
   out += tag;
-  out.append(digits,
-             std::to_chars(digits, digits + sizeof(digits), value).ptr);
+  AppendInt(out, value);
 }
 
 /** Appends `tag` then the shape as "CxHxW" (TensorShape::ToString). */

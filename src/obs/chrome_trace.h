@@ -15,9 +15,16 @@
  * serving simulator records per-cell obs::SpanTracer buffers in
  * parallel and appends them here serially, which keeps `--trace-out`
  * byte-identical across `--jobs` values.
+ *
+ * Each event serializes in one pass into one reserved string: names are
+ * escaped in place and numbers appended with std::to_chars
+ * (common/string_util.h's appenders) — no printf and no temporary
+ * strings, yet the bytes equal the printf formats the document has
+ * always used (`%d`, `%.3f`).
  */
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -71,7 +78,14 @@ class ChromeTraceWriter {
   /** Writes Json() to `path`; unwritable path is an Unavailable error. */
   [[nodiscard]] Status WriteFile(const std::string& path) const;
 
-  /** Backslash-escapes `"` and `\` for embedding in a JSON string. */
+  /**
+   * Appends `text` escaped for embedding in a JSON string: `"` and `\`
+   * get a backslash, \n \r \t their short forms, other control bytes
+   * `\u00XX`. Runs needing no escape are copied whole.
+   */
+  static void AppendJsonEscaped(std::string& out, std::string_view text);
+
+  /** AppendJsonEscaped into a fresh string. */
   static std::string JsonEscape(const std::string& text);
 
  private:

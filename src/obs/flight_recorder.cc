@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <string_view>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/stats.h"
@@ -11,6 +13,8 @@
 #include "obs/metrics_registry.h"
 
 namespace gpuperf::obs {
+
+constexpr char kCsvHeader[] = "t_us,source,metric,kind,field,value\n";
 
 FlightRecorder::FlightRecorder(FlightRecorderConfig config)
     : config_(config) {
@@ -177,41 +181,117 @@ void FlightRecorder::SampleRegistry(const MetricsRegistry& registry,
   Tick(t_us);
 }
 
+namespace {
+
+/** One channel as the exporters see it, built once per export call. */
+struct ExportChannel {
+  const std::string* name = nullptr;            // the recorder's map key
+  const std::vector<double>* bounds = nullptr;  // sketches only
+  std::string prefix;  // ",<source>,<metric>,<kind>," (CSV rows only)
+  std::size_t rows = 0;
+};
+
+/**
+ * Finds `name`'s entry at or after `*cursor` in `table` (channel-name
+ * order). Channels are never removed and every frame samples the
+ * channels that existed at its close in name order, so a frame's
+ * samples are a subsequence of the table: one forward cursor per frame
+ * finds each sample's channel without a map lookup.
+ */
+const ExportChannel& Seek(const std::vector<ExportChannel>& table,
+                          std::size_t* cursor, const std::string* name) {
+  while (*cursor < table.size() && table[*cursor].name != name) ++*cursor;
+  GP_CHECK_LT(*cursor, table.size()) << "sample of an unknown channel";
+  return table[*cursor];
+}
+
+}  // namespace
+
 void FlightRecorder::AppendCsvRows(const std::string& source,
                                    std::string* out) const {
+  if (frames_.empty()) return;
+  std::string t_us;
+  AppendInt(t_us, frames_.back().t_us);
+  // Per row, after the t_us and prefix: the widest field name
+  // ("rate_per_s,", 11 bytes), a positive "%g" value at its widest
+  // (12), and the newline.
+  constexpr std::size_t kRowTailBytes = 24;
+  std::vector<ExportChannel> table;
+  table.reserve(channels_.size());
+  std::size_t frame_bytes = 0;
+  for (const auto& [name, channel] : channels_) {
+    ExportChannel& entry = table.emplace_back();
+    entry.name = &name;
+    entry.prefix = "," + source + "," + name;
+    if (channel.kind == FlightSample::kCounter) {
+      entry.prefix += ",counter,";
+      entry.rows = 3;
+    } else if (channel.kind == FlightSample::kGauge) {
+      entry.prefix += ",gauge,";
+      entry.rows = 1;
+    } else {
+      entry.prefix += ",sketch,";
+      entry.rows = 4;
+      entry.bounds = &channel.bounds;
+    }
+    frame_bytes +=
+        entry.rows * (t_us.size() + entry.prefix.size() + kRowTailBytes);
+  }
+  // One allocation for the whole export (frames only ever sample a
+  // subset of today's channels), growing geometrically across the
+  // serial appends of a multi-cell timeline.
+  const std::size_t needed = out->size() + frames_.size() * frame_bytes;
+  if (needed > out->capacity()) {
+    out->reserve(std::max(needed, 2 * out->capacity()));
+  }
+
+  std::string& text = *out;
   for (const FlightFrame& frame : frames_) {
+    t_us.clear();
+    AppendInt(t_us, frame.t_us);
+    const double window_s = static_cast<double>(frame.window_us) / 1e6;
+    std::size_t cursor = 0;
     for (const FlightSample& sample : frame.samples) {
-      const char* t = source.c_str();
-      const char* m = sample.channel->c_str();
+      const ExportChannel& channel = Seek(table, &cursor, sample.channel);
+      // `<t_us>,<source>,<metric>,<kind>,<field>,` — the value follows.
+      auto begin_row = [&](const char* field) {
+        text += t_us;
+        text += channel.prefix;
+        text += field;
+      };
       if (sample.kind == FlightSample::kCounter) {
-        *out += Format("%lld,%s,%s,counter,total,%llu\n", frame.t_us, t, m,
-                       (unsigned long long)sample.counter_total);
-        *out += Format("%lld,%s,%s,counter,delta,%llu\n", frame.t_us, t, m,
-                       (unsigned long long)sample.counter_delta);
-        const double rate = frame.window_us > 0
+        begin_row("total,");
+        AppendUint(text, sample.counter_total);
+        text += '\n';
+        begin_row("delta,");
+        AppendUint(text, sample.counter_delta);
+        text += '\n';
+        begin_row("rate_per_s,");
+        AppendGeneral(text, frame.window_us > 0
                                 ? static_cast<double>(sample.counter_delta) /
-                                      (static_cast<double>(frame.window_us) /
-                                       1e6)
-                                : 0.0;
-        *out += Format("%lld,%s,%s,counter,rate_per_s,%g\n", frame.t_us, t, m,
-                       rate);
+                                      window_s
+                                : 0.0);
+        text += '\n';
       } else if (sample.kind == FlightSample::kGauge) {
-        *out += Format("%lld,%s,%s,gauge,value,%lld\n", frame.t_us, t, m,
-                       (long long)sample.gauge_value);
+        begin_row("value,");
+        AppendInt(text, sample.gauge_value);
+        text += '\n';
       } else {
-        const std::vector<double>& bounds =
-            channels_.at(*sample.channel).bounds;
-        *out += Format("%lld,%s,%s,sketch,count,%llu\n", frame.t_us, t, m,
-                       (unsigned long long)sample.window.count);
-        *out += Format("%lld,%s,%s,sketch,sum,%g\n", frame.t_us, t, m,
-                       WindowedSketch::WindowSum(sample.window));
-        for (double p : {50.0, 99.0}) {
-          const double q =
-              sample.window.count == 0
-                  ? 0.0
-                  : HistogramQuantile(bounds, sample.window.buckets, p);
-          *out += Format("%lld,%s,%s,sketch,p%.0f,%g\n", frame.t_us, t, m, p,
-                         q);
+        begin_row("count,");
+        AppendUint(text, sample.window.count);
+        text += '\n';
+        begin_row("sum,");
+        AppendGeneral(text, WindowedSketch::WindowSum(sample.window));
+        text += '\n';
+        for (const auto& [field, p] :
+             {std::pair{"p50,", 50.0}, std::pair{"p99,", 99.0}}) {
+          begin_row(field);
+          AppendGeneral(text, sample.window.count == 0
+                                  ? 0.0
+                                  : HistogramQuantile(*channel.bounds,
+                                                      sample.window.buckets,
+                                                      p));
+          text += '\n';
         }
       }
     }
@@ -220,25 +300,36 @@ void FlightRecorder::AppendCsvRows(const std::string& source,
 
 void FlightRecorder::AppendCounterEvents(ChromeTraceWriter* writer,
                                          int pid) const {
+  std::vector<ExportChannel> table;
+  table.reserve(channels_.size());
+  for (const auto& [name, channel] : channels_) {
+    ExportChannel& entry = table.emplace_back();
+    entry.name = &name;
+    if (channel.kind == FlightSample::kSketch) entry.bounds = &channel.bounds;
+  }
+  const std::string category = "timeline";
+  std::string args;
   for (const FlightFrame& frame : frames_) {
     const double ts = static_cast<double>(frame.t_us);
+    std::size_t cursor = 0;
     for (const FlightSample& sample : frame.samples) {
-      std::string args;
+      const ExportChannel& channel = Seek(table, &cursor, sample.channel);
+      args.clear();
       if (sample.kind == FlightSample::kCounter) {
-        args = Format("\"delta\":%llu",
-                      (unsigned long long)sample.counter_delta);
+        args += "\"delta\":";
+        AppendUint(args, sample.counter_delta);
       } else if (sample.kind == FlightSample::kGauge) {
-        args = Format("\"value\":%lld", (long long)sample.gauge_value);
+        args += "\"value\":";
+        AppendInt(args, sample.gauge_value);
       } else {
-        const std::vector<double>& bounds =
-            channels_.at(*sample.channel).bounds;
-        const double p99 =
-            sample.window.count == 0
-                ? 0.0
-                : HistogramQuantile(bounds, sample.window.buckets, 99.0);
-        args = Format("\"p99\":%g", p99);
+        args += "\"p99\":";
+        AppendGeneral(args, sample.window.count == 0
+                                ? 0.0
+                                : HistogramQuantile(*channel.bounds,
+                                                    sample.window.buckets,
+                                                    99.0));
       }
-      writer->AddCounter(*sample.channel, "timeline", pid, ts, args);
+      writer->AddCounter(*sample.channel, category, pid, ts, args);
     }
   }
 }
@@ -249,18 +340,24 @@ void FlightTimeline::Append(const FlightRecorder& recorder,
 }
 
 std::string FlightTimeline::Csv() const {
-  return "t_us,source,metric,kind,field,value\n" + rows_;
+  return kCsvHeader + rows_;
 }
 
 Status FlightTimeline::WriteCsv(const std::string& path) const {
-  const std::string csv = Csv();
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     return UnavailableError("cannot open timeline file: " + path);
   }
-  const std::size_t written = std::fwrite(csv.data(), 1, csv.size(), f);
+  // Header, then the rows in place — no header+rows copy of a
+  // multi-megabyte document.
+  const std::string_view header = kCsvHeader;
+  const bool wrote_header =
+      std::fwrite(header.data(), 1, header.size(), f) == header.size();
+  const bool wrote_rows =
+      wrote_header &&
+      std::fwrite(rows_.data(), 1, rows_.size(), f) == rows_.size();
   const bool closed = std::fclose(f) == 0;
-  if (written != csv.size() || !closed) {
+  if (!wrote_rows || !closed) {
     return UnavailableError("cannot write timeline file: " + path);
   }
   return Status::Ok();

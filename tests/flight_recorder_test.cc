@@ -1,5 +1,8 @@
 #include "obs/flight_recorder.h"
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -196,6 +199,126 @@ TEST(FlightRecorderTest, SketchCsvEmitsCountSumAndQuantiles) {
             "100,cell 0,gpuperf_test_latency_ms,sketch,sum,1\n"
             "100,cell 0,gpuperf_test_latency_ms,sketch,p50,0.5\n"
             "100,cell 0,gpuperf_test_latency_ms,sketch,p99,0.99\n");
+}
+
+/**
+ * Two frames covering every exported form: a counter, a negative gauge,
+ * and a sketch whose one observation lands in the overflow bucket (its
+ * quantiles report the last bound); then a partial final window, where
+ * rate_per_s divides by the 50us window and the empty sketch reports 0.
+ */
+FlightRecorder GoldenRecorder() {
+  FlightRecorder recorder(Config(100));
+  recorder.Start(0);
+  recorder.DefineSketch("gpuperf_test_latency_ms", {1.0, 10.0});
+  recorder.Count("gpuperf_test_events", 3);
+  recorder.SetGauge("gpuperf_test_depth", 5);
+  recorder.Observe("gpuperf_test_latency_ms", 20.5);
+  recorder.AdvanceTo(100);
+  recorder.Count("gpuperf_test_events", 2);
+  recorder.SetGauge("gpuperf_test_depth", -2);
+  recorder.FinishAt(150);
+  return recorder;
+}
+
+TEST(FlightRecorderTest, CsvGoldenCoversEveryRowForm) {
+  const FlightRecorder recorder = GoldenRecorder();
+  ASSERT_EQ(recorder.frames().size(), 2u);
+  EXPECT_EQ(recorder.frames()[1].window_us, 50);
+  std::string rows = "prior\n";  // appends, never overwrites
+  recorder.AppendCsvRows("cell 0", &rows);
+  EXPECT_EQ(rows,
+            "prior\n"
+            "100,cell 0,gpuperf_test_depth,gauge,value,5\n"
+            "100,cell 0,gpuperf_test_events,counter,total,3\n"
+            "100,cell 0,gpuperf_test_events,counter,delta,3\n"
+            "100,cell 0,gpuperf_test_events,counter,rate_per_s,30000\n"
+            "100,cell 0,gpuperf_test_latency_ms,sketch,count,1\n"
+            "100,cell 0,gpuperf_test_latency_ms,sketch,sum,20.5\n"
+            "100,cell 0,gpuperf_test_latency_ms,sketch,p50,10\n"
+            "100,cell 0,gpuperf_test_latency_ms,sketch,p99,10\n"
+            "150,cell 0,gpuperf_test_depth,gauge,value,-2\n"
+            "150,cell 0,gpuperf_test_events,counter,total,5\n"
+            "150,cell 0,gpuperf_test_events,counter,delta,2\n"
+            "150,cell 0,gpuperf_test_events,counter,rate_per_s,40000\n"
+            "150,cell 0,gpuperf_test_latency_ms,sketch,count,0\n"
+            "150,cell 0,gpuperf_test_latency_ms,sketch,sum,0\n"
+            "150,cell 0,gpuperf_test_latency_ms,sketch,p50,0\n"
+            "150,cell 0,gpuperf_test_latency_ms,sketch,p99,0\n");
+}
+
+TEST(FlightRecorderTest, CounterEventsGoldenCoversEveryChannelKind) {
+  const FlightRecorder recorder = GoldenRecorder();
+  ChromeTraceWriter writer;
+  recorder.AppendCounterEvents(&writer, /*pid=*/3);
+  EXPECT_EQ(
+      writer.Json(),
+      "{\"traceEvents\":[\n"
+      "{\"name\":\"gpuperf_test_depth\",\"cat\":\"timeline\","
+      "\"ph\":\"C\",\"pid\":3,\"tid\":0,\"ts\":100.000,"
+      "\"args\":{\"value\":5}},\n"
+      "{\"name\":\"gpuperf_test_events\",\"cat\":\"timeline\","
+      "\"ph\":\"C\",\"pid\":3,\"tid\":0,\"ts\":100.000,"
+      "\"args\":{\"delta\":3}},\n"
+      "{\"name\":\"gpuperf_test_latency_ms\",\"cat\":\"timeline\","
+      "\"ph\":\"C\",\"pid\":3,\"tid\":0,\"ts\":100.000,"
+      "\"args\":{\"p99\":10}},\n"
+      "{\"name\":\"gpuperf_test_depth\",\"cat\":\"timeline\","
+      "\"ph\":\"C\",\"pid\":3,\"tid\":0,\"ts\":150.000,"
+      "\"args\":{\"value\":-2}},\n"
+      "{\"name\":\"gpuperf_test_events\",\"cat\":\"timeline\","
+      "\"ph\":\"C\",\"pid\":3,\"tid\":0,\"ts\":150.000,"
+      "\"args\":{\"delta\":2}},\n"
+      "{\"name\":\"gpuperf_test_latency_ms\",\"cat\":\"timeline\","
+      "\"ph\":\"C\",\"pid\":3,\"tid\":0,\"ts\":150.000,"
+      "\"args\":{\"p99\":0}}\n"
+      "],\"displayTimeUnit\":\"ms\"}\n");
+}
+
+TEST(FlightRecorderTest, ExportFindsChannelsAddedAfterEarlierFrames) {
+  // Early frames sample fewer channels than the recorder holds at
+  // export time; every frame still exports exactly its own samples.
+  FlightRecorder recorder(Config(100));
+  recorder.Start(0);
+  recorder.Count("gpuperf_test_b", 1);
+  recorder.AdvanceTo(100);
+  recorder.Count("gpuperf_test_a", 2);
+  recorder.Count("gpuperf_test_c", 3);
+  recorder.AdvanceTo(200);
+  std::string rows;
+  recorder.AppendCsvRows("s", &rows);
+  EXPECT_EQ(rows,
+            "100,s,gpuperf_test_b,counter,total,1\n"
+            "100,s,gpuperf_test_b,counter,delta,1\n"
+            "100,s,gpuperf_test_b,counter,rate_per_s,10000\n"
+            "200,s,gpuperf_test_a,counter,total,2\n"
+            "200,s,gpuperf_test_a,counter,delta,2\n"
+            "200,s,gpuperf_test_a,counter,rate_per_s,20000\n"
+            "200,s,gpuperf_test_b,counter,total,1\n"
+            "200,s,gpuperf_test_b,counter,delta,0\n"
+            "200,s,gpuperf_test_b,counter,rate_per_s,0\n"
+            "200,s,gpuperf_test_c,counter,total,3\n"
+            "200,s,gpuperf_test_c,counter,delta,3\n"
+            "200,s,gpuperf_test_c,counter,rate_per_s,30000\n");
+}
+
+TEST(FlightRecorderTest, WriteCsvWritesHeaderThenRows) {
+  const FlightRecorder recorder = GoldenRecorder();
+  FlightTimeline timeline;
+  timeline.Append(recorder, "cell 0");
+  const std::string path = ::testing::TempDir() + "flight_timeline.csv";
+  ASSERT_TRUE(timeline.WriteCsv(path).ok());
+  std::ifstream file(path, std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(file)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(written, timeline.Csv());
+  EXPECT_EQ(written.rfind("t_us,source,metric,kind,field,value\n", 0), 0u);
+  std::remove(path.c_str());
+
+  const Status status = timeline.WriteCsv("/nonexistent-gpuperf-dir/t.csv");
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
+  EXPECT_NE(status.message().find("cannot open timeline file"),
+            std::string::npos);
 }
 
 TEST(FlightRecorderTest, CounterEventsLandInTheChromeTrace) {

@@ -56,6 +56,36 @@ TEST(ChromeTraceWriterTest, EscapesControlCharacters) {
   EXPECT_EQ(json.find("conv\n3x3"), std::string::npos);
 }
 
+TEST(ChromeTraceWriterTest, EmitsGoldenCounterEvent) {
+  ChromeTraceWriter writer;
+  writer.AddCounter("queue depth", "timeline", 4, 1234567.0625,
+                    "\"value\":-3");
+  EXPECT_EQ(writer.Json(),
+            "{\"traceEvents\":[\n"
+            "{\"name\":\"queue depth\",\"cat\":\"timeline\",\"ph\":\"C\","
+            "\"pid\":4,\"tid\":0,\"ts\":1234567.062,"
+            "\"args\":{\"value\":-3}}\n"
+            "],\"displayTimeUnit\":\"ms\"}\n");
+}
+
+TEST(ChromeTraceWriterTest, EscapesMixedRunsInPlace) {
+  // Escapes at both ends and back to back, plain runs between them,
+  // and bytes >= 0x20 (DEL, UTF-8) passed through untouched.
+  const std::string name = std::string("\x01q\"\\\x1f\tab\x7f\xc3\xa9\n");
+  const std::string escaped = "\\u0001q\\\"\\\\\\u001f\\tab\x7f\xc3\xa9\\n";
+  EXPECT_EQ(ChromeTraceWriter::JsonEscape(name), escaped);
+  std::string out = "keep:";
+  ChromeTraceWriter::AppendJsonEscaped(out, name);
+  EXPECT_EQ(out, "keep:" + escaped);
+  ChromeTraceWriter writer;
+  writer.AddCounter(name, "c\"t", 1, 0.5, "");
+  EXPECT_EQ(writer.Json(),
+            "{\"traceEvents\":[\n"
+            "{\"name\":\"" + escaped + "\",\"cat\":\"c\\\"t\",\"ph\":\"C\","
+            "\"pid\":1,\"tid\":0,\"ts\":0.500,\"args\":{}}\n"
+            "],\"displayTimeUnit\":\"ms\"}\n");
+}
+
 TEST(ChromeTraceWriterTest, EmptyWriterIsStillAValidDocument) {
   ChromeTraceWriter writer;
   EXPECT_EQ(writer.Json(),
