@@ -102,7 +102,7 @@ cmake --build "$ASAN_BUILD" -j --target \
   status_test csv_test model_io_test fault_injection_test \
   predictor_stack_test serving_test circuit_breaker_test \
   bundle_registry_test cli_test string_util_test flight_recorder_test \
-  span_tracer_test
+  span_tracer_test event_queue_test
 "./$ASAN_BUILD/tests/status_test"
 "./$ASAN_BUILD/tests/csv_test"
 "./$ASAN_BUILD/tests/model_io_test"
@@ -116,5 +116,8 @@ cmake --build "$ASAN_BUILD" -j --target \
 "./$ASAN_BUILD/tests/string_util_test"
 "./$ASAN_BUILD/tests/flight_recorder_test"
 "./$ASAN_BUILD/tests/span_tracer_test"
+# Serving's event callbacks capture the Sim and read the arrival plan by
+# index; the queue's reserved-sequence path inserts them lazily.
+"./$ASAN_BUILD/tests/event_queue_test"
 
 echo "verify: OK"

@@ -15,13 +15,44 @@
 
 namespace gpuperf::simsys {
 
-/** A discrete-event scheduler with microsecond timestamps. */
+/**
+ * A discrete-event scheduler with microsecond timestamps.
+ *
+ * Event order: every event carries a unique `(time, sequence)` key —
+ * its timestamp, then a sequence number drawn when it was scheduled
+ * (FIFO among simultaneous events) — and events fire in ascending key
+ * order. The pop order is a function of the keys alone, not of when an
+ * entry entered the heap. So an event may be inserted late under a
+ * sequence number reserved earlier (ReserveSequences /
+ * ScheduleReserved) and fire exactly where it would have had it been
+ * scheduled at reservation time, provided it is inserted before any
+ * event with a larger key fires. Serving uses this to keep one pending
+ * arrival in the heap instead of pre-scheduling the whole run.
+ */
 class EventQueue {
  public:
   using Callback = std::function<void()>;
 
   /** Schedules `callback` at absolute simulated time `time_us`. */
   void Schedule(double time_us, Callback callback);
+
+  /**
+   * Sets aside `count` consecutive sequence numbers for later
+   * ScheduleReserved calls and returns the first. Events scheduled
+   * afterwards draw larger sequence numbers, so a reserved event wins
+   * every same-timestamp tie against them.
+   */
+  std::int64_t ReserveSequences(std::int64_t count);
+
+  /**
+   * Schedules `callback` at `time_us` under `sequence`, which must come
+   * from an earlier ReserveSequences call and be used at most once.
+   * Like Schedule, `time_us` must not be in the past; the caller must
+   * also insert the event before any event with a larger key fires (see
+   * the class comment).
+   */
+  void ScheduleReserved(double time_us, std::int64_t sequence,
+                        Callback callback);
 
   /** Schedules `callback` `delay_us` after the current time. */
   void ScheduleAfter(double delay_us, Callback callback);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <utility>
 
@@ -171,6 +172,12 @@ enum class PickOutcome {
   kQueueFull,  // live GPUs exist, but every bounded queue is full: shed
 };
 
+/** One planned arrival: when it arrives and its job type. */
+struct Arrival {
+  double at_us;
+  std::size_t job;
+};
+
 /** Mutable simulation state shared by the event handlers. */
 struct Sim {
   const std::vector<std::vector<double>>& truth;
@@ -190,6 +197,17 @@ struct Sim {
   std::vector<double> latencies_ms;
   std::vector<ServingObservation> observations;  // record_observations only
   int round_robin_next = 0;
+
+  // The run's arrival plan, drawn before the first event fires; only
+  // the next arrival is queued (ScheduleArrival).
+  std::vector<Arrival> arrivals;
+  std::int64_t first_arrival_sequence = 0;
+
+  // Per-call scratch for PickTarget (live flags, candidates) and
+  // HedgeCheck (candidates), cleared on each call so dispatch does not
+  // allocate.
+  std::vector<char> live_scratch;
+  std::vector<std::size_t> candidate_scratch;
 
   // Gray-failure resilience state. `chaos` is borrowed (nullptr = no
   // chaos); `retry_tokens` is the per-simulation retry token bucket;
@@ -245,7 +263,27 @@ struct Sim {
         gpu_predicted_free(gpus_in, 0.0),
         gpu_outstanding(gpus_in, 0),
         gpu_busy(gpus_in, 0.0),
-        breakers(gpus_in, CircuitBreaker(config_in.breaker)) {}
+        breakers(gpus_in, CircuitBreaker(config_in.breaker)),
+        live_scratch(gpus_in, 0) {
+    candidate_scratch.reserve(gpus_in);
+  }
+
+  /**
+   * Queues arrival `i` under reserved sequence first_arrival_sequence +
+   * i, the key it would have had if every arrival were pre-scheduled.
+   * When it fires it first queues arrival i + 1 — whose key is larger
+   * than the one firing, so no later event can have fired yet — and
+   * then dispatches. The capture fits std::function's inline buffer, so
+   * an arrival costs no allocation.
+   */
+  void ScheduleArrival(std::size_t i) {
+    const std::int64_t sequence =
+        first_arrival_sequence + static_cast<std::int64_t>(i);
+    queue.ScheduleReserved(arrivals[i].at_us, sequence, [this, i] {
+      if (i + 1 < arrivals.size()) ScheduleArrival(i + 1);
+      Dispatch(i, arrivals[i].job, arrivals[i].at_us, /*attempt=*/0);
+    });
+  }
 
   /**
    * Failure-detection delay: the fixed `retry.detect_timeout_ms`, or —
@@ -324,9 +362,10 @@ struct Sim {
                          bool* degraded_decision) {
     *degraded_decision = false;
     const double now = queue.NowUs();
-    std::vector<bool> live(gpus, false);
-    std::vector<std::size_t> candidates;
-    candidates.reserve(gpus);
+    std::vector<char>& live = live_scratch;
+    std::vector<std::size_t>& candidates = candidate_scratch;
+    std::fill(live.begin(), live.end(), 0);
+    candidates.clear();
     bool any_live = false;
     for (std::size_t g = 0; g < gpus; ++g) {
       if (plan.IsDownAt(g, now) || !breakers[g].AllowsAt(now)) continue;
@@ -334,7 +373,7 @@ struct Sim {
       if (config.queue_cap > 0 && gpu_outstanding[g] >= config.queue_cap) {
         continue;  // live but full: bounded queue rejects new work
       }
-      live[g] = true;
+      live[g] = 1;
       candidates.push_back(g);
     }
     if (candidates.empty()) {
@@ -565,8 +604,8 @@ struct Sim {
                   double primary_service, double primary_end,
                   bool primary_fails) {
     const double now = queue.NowUs();
-    std::vector<std::size_t> candidates;
-    candidates.reserve(gpus);
+    std::vector<std::size_t>& candidates = candidate_scratch;
+    candidates.clear();
     for (std::size_t g = 0; g < gpus; ++g) {
       if (g == primary) continue;
       if (plan.IsDownAt(g, now) || !breakers[g].AllowsAt(now)) continue;
@@ -1088,9 +1127,10 @@ StatusOr<ServingResult> SimulateServing(
   double mix_total = 0;
   for (double w : job_mix) mix_total += w;
 
+  // Draw the whole arrival plan first (the rng stream is the
+  // simulation's input), then let the queue hold one arrival at a time.
   Rng rng(config.seed);
   double next_arrival = 0;
-  std::size_t next_id = 0;
   while (true) {
     // Exponential inter-arrival times.
     next_arrival +=
@@ -1105,12 +1145,13 @@ StatusOr<ServingResult> SimulateServing(
       pick -= job_mix[job];
     }
 
-    const double arrival = next_arrival;
-    const std::size_t id = next_id++;
-    sim.queue.Schedule(arrival, [&sim, id, job, arrival] {
-      sim.Dispatch(id, job, arrival, /*attempt=*/0);
-    });
+    sim.arrivals.push_back({next_arrival, job});
   }
+  // Reserved before anything else is scheduled: arrival i takes
+  // sequence i, and every other event a larger one.
+  sim.first_arrival_sequence = sim.queue.ReserveSequences(
+      static_cast<std::int64_t>(sim.arrivals.size()));
+  if (!sim.arrivals.empty()) sim.ScheduleArrival(0);
   if (sim.recorder == nullptr) {
     sim.queue.Run();
   } else {
@@ -1122,7 +1163,9 @@ StatusOr<ServingResult> SimulateServing(
     // the events that must precede the close. The recorder never
     // schedules events of its own, so EventQueue sequence numbers —
     // and therefore same-timestamp ordering and the simulation
-    // result — are untouched.
+    // result — are untouched. The next arrival is always queued, so
+    // NextTimeUs() is the true next event even with arrivals inserted
+    // lazily.
     while (!sim.queue.empty()) {
       sim.queue.RunUntil(
           static_cast<double>(sim.recorder->next_close_us() - origin_ll));

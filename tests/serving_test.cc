@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "gpuexec/oracle.h"
+#include "obs/chrome_trace.h"
+#include "obs/flight_recorder.h"
 
 namespace gpuperf::simsys {
 namespace {
@@ -980,6 +984,85 @@ TEST(ServingTest, ChaosGridWithHedgingIsBitIdenticalAcrossJobCounts) {
   }
   EXPECT_GT(hedges, 0);
   EXPECT_GT(opens, 0);
+}
+
+
+// --- Event-order golden. The pinned values below were computed by the
+// simulator that pre-scheduled every arrival before the run; arrivals
+// now enter the queue lazily under reserved sequence numbers, and any
+// change to the (time, sequence) order of events — arrival ties with
+// completions, retries, hedge checks or cancels — moves these values.
+
+struct GoldenCounters {
+  int completed, dropped, retries, dispatches, shed, deadline_misses,
+      breaker_opens, hedges_issued, hedges_won, retries_suppressed;
+};
+
+TEST(ServingTest, ChaosHedgingEventOrderMatchesGolden) {
+  ServingConfig base = OverloadConfig(DispatchPolicy::kRoundRobin);
+  base.duration_s = 3;
+  base.hedge_trigger_factor = 1.5;
+  base.retry_budget = 0.2;
+  base.retry_budget_burst = 5;
+  base.chaos.gray_mtbf_s = 1;
+  base.chaos.gray_mttr_s = 0.5;
+  base.chaos.gray_factor = 3;
+  base.chaos.flap_mtbf_s = 2;
+  base.chaos.host.size = 2;
+  base.chaos.host.mtbf_s = 2;
+  base.chaos.host.mttr_s = 0.1;
+  base.record_observations = true;
+  base.recorder_config.sample_period_us = 10'000;
+  // Optimistic predictions (half of truth) so hedge triggers fire.
+  std::vector<std::vector<double>> optimistic = AffinityTimes();
+  for (auto& row : optimistic) {
+    for (double& v : row) v *= 0.5;
+  }
+  const std::vector<ServingGridCell> cells = {
+      {DispatchPolicy::kRoundRobin, 5},
+      {DispatchPolicy::kLeastOutstanding, 5},
+      {DispatchPolicy::kPredictedLeastLoad, 5},
+  };
+  obs::ChromeTraceWriter trace;
+  obs::FlightTimeline timeline;
+  std::vector<StatusOr<ServingResult>> results = SimulateServingGrid(
+      AffinityTimes(), optimistic, {1, 1}, base, cells, 1, &trace, &timeline);
+
+  const GoldenCounters golden[] = {
+      {562, 310, 17, 578, 299, 201, 6, 140, 23, 310},
+      {553, 310, 13, 565, 308, 193, 6, 150, 16, 310},
+      {576, 312, 15, 591, 283, 154, 6, 219, 9, 312},
+  };
+  const std::uint64_t golden_observations[] = {
+      16390639638188795315ULL,
+      7868789894276757775ULL,
+      9137174583216519281ULL,
+  };
+  ASSERT_EQ(results.size(), 3u);
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << i;
+    const ServingResult& r = *results[i];
+    EXPECT_EQ(r.completed, golden[i].completed) << i;
+    EXPECT_EQ(r.dropped, golden[i].dropped) << i;
+    EXPECT_EQ(r.retries, golden[i].retries) << i;
+    EXPECT_EQ(r.dispatches, golden[i].dispatches) << i;
+    EXPECT_EQ(r.shed_on_admission, golden[i].shed) << i;
+    EXPECT_EQ(r.deadline_misses, golden[i].deadline_misses) << i;
+    EXPECT_EQ(r.breaker_opens, golden[i].breaker_opens) << i;
+    EXPECT_EQ(r.hedges_issued, golden[i].hedges_issued) << i;
+    EXPECT_EQ(r.hedges_won, golden[i].hedges_won) << i;
+    EXPECT_EQ(r.retries_suppressed, golden[i].retries_suppressed) << i;
+    // Observations are in completion order, so same-timestamp
+    // reorderings that leave the counters alone still move this hash.
+    std::string observed;
+    for (const ServingObservation& o : r.observations) {
+      observed += Format("%zu,%zu,%.17g,%.17g\n", o.job, o.gpu, o.start_us,
+                         o.observed_us);
+    }
+    EXPECT_EQ(StableHash(observed), golden_observations[i]) << i;
+  }
+  EXPECT_EQ(StableHash(timeline.Csv()), 51390222808851109ULL);
+  EXPECT_EQ(StableHash(trace.Json()), 17853784535721987504ULL);
 }
 
 }  // namespace
