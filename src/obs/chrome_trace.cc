@@ -83,6 +83,7 @@ void EndEvent(std::string& event, const std::string& args_json) {
 }  // namespace
 
 void ChromeTraceWriter::SetProcessName(int pid, const std::string& name) {
+  ++process_count_;
   std::string& event = events_.emplace_back();
   event.reserve(kEventBytes + name.size());
   event += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";

@@ -38,6 +38,9 @@ class ChromeTraceWriter {
   /** Emits a process_name metadata event for `pid`. */
   void SetProcessName(int pid, const std::string& name);
 
+  /** process_name events so far; appenders number new pids after them. */
+  int process_count() const { return process_count_; }
+
   /** Emits a thread_name metadata event for (pid, tid). */
   void SetThreadName(int pid, int tid, const std::string& name);
 
@@ -91,6 +94,7 @@ class ChromeTraceWriter {
  private:
   std::vector<std::string> events_;  // serialized, insertion order
   std::vector<std::pair<std::string, std::string>> metadata_;
+  int process_count_ = 0;
 };
 
 }  // namespace gpuperf::obs

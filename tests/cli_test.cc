@@ -11,6 +11,8 @@
 #include <array>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -394,6 +396,67 @@ TEST(CliTest, ChaosTableIsBitIdenticalAcrossJobCounts) {
   EXPECT_EQ(serial.exit_code, 0) << serial.output;
   EXPECT_EQ(parallel.exit_code, 0) << parallel.output;
   EXPECT_EQ(serial.output, parallel.output);
+}
+
+TEST(CliTest, ChaosExportsGiveEachScenarioCellItsOwnPidAndSource) {
+  // Every scenario runs its own grid into the same trace and timeline:
+  // each (scenario, cell) must get a distinct trace pid and a distinct
+  // timeline source naming the scenario, with sim time monotone per
+  // source.
+  const std::string dir = ::testing::TempDir();
+  const std::string trace = dir + "/cli_chaos_trace.json";
+  const std::string timeline = dir + "/cli_chaos_timeline.csv";
+  const CliResult r = RunCli(
+      "chaos --duration 2 --rate 40 --networks resnet18 "
+      "--scenarios gray,flap --policy least-outstanding --runs 2 "
+      "--trace-out \"" + trace + "\" --timeline-out \"" + timeline + "\"");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+
+  const std::string json = ReadFileOrEmpty(trace);
+  const std::string marker =
+      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":";
+  const std::string name_key = "\"args\":{\"name\":\"";
+  std::set<int> pids;
+  std::set<std::string> names;
+  int processes = 0;
+  for (std::size_t at = json.find(marker); at != std::string::npos;
+       at = json.find(marker, at + 1)) {
+    ++processes;
+    pids.insert(std::stoi(json.substr(at + marker.size())));
+    const std::size_t name_at = json.find(name_key, at) + name_key.size();
+    names.insert(json.substr(name_at, json.find('"', name_at) - name_at));
+  }
+  EXPECT_EQ(processes, 4);  // 2 scenarios x 2 cells
+  EXPECT_EQ(pids, (std::set<int>{1, 2, 3, 4}));
+  EXPECT_EQ(names.size(), 4u);
+  for (const std::string& name : names) {
+    EXPECT_TRUE(name.rfind("gray ", 0) == 0 || name.rfind("flap ", 0) == 0)
+        << name;
+  }
+
+  std::istringstream csv(ReadFileOrEmpty(timeline));
+  std::string line;
+  ASSERT_TRUE(std::getline(csv, line));
+  EXPECT_EQ(line, "t_us,source,metric,kind,field,value");
+  std::map<std::string, long long> last_t_us;
+  while (std::getline(csv, line)) {
+    const std::size_t comma = line.find(',');
+    const long long t_us = std::stoll(line.substr(0, comma));
+    const std::string source =
+        line.substr(comma + 1, line.find(',', comma + 1) - comma - 1);
+    const auto last = last_t_us.find(source);
+    if (last != last_t_us.end()) {
+      EXPECT_GE(t_us, last->second) << "source " << source;
+    }
+    last_t_us[source] = t_us;
+  }
+  EXPECT_EQ(last_t_us.size(), 4u);
+  for (const auto& [source, t_us] : last_t_us) {
+    EXPECT_TRUE(names.count(source) == 1) << source;
+  }
+
+  std::remove(trace.c_str());
+  std::remove(timeline.c_str());
 }
 
 TEST(CliTest, UnwritableMetricsOrTracePathExitsOneWithOneLineError) {
