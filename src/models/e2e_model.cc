@@ -1,9 +1,8 @@
 #include "models/e2e_model.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "dnn/flops.h"
+#include "models/prediction_plan.h"
 
 namespace gpuperf::models {
 
@@ -27,9 +26,8 @@ double E2eModel::PredictUs(const dnn::Network& network,
                            const gpuexec::GpuSpec& gpu,
                            std::int64_t batch) const {
   const regression::LinearFit& fit = FitFor(gpu.name);
-  const double flops =
-      static_cast<double>(dnn::NetworkFlops(network, batch));
-  return std::max(0.0, fit.Predict(flops));
+  return TermUs(batch, dnn::NetworkFlops(network, 1), fit.slope,
+                fit.intercept);
 }
 
 const regression::LinearFit& E2eModel::FitFor(

@@ -1,61 +1,70 @@
 #include "models/explain.h"
 
-#include <algorithm>
 #include <map>
+#include <string>
 
 namespace gpuperf::models {
+
+namespace {
+
+/** Records each term and layer addend while a BatchSum folds them. */
+struct ExplainSink {
+  BatchSum sum;
+  PredictionBreakdown& out;
+  std::map<int, ClusterContribution> clusters{};  // sorted: deterministic
+  double scale_a = 1.0;  // the open layer's scales
+  double scale_b = 1.0;
+
+  /** Closes the open layer, recording its exact addend. */
+  void CloseLayer() {
+    const double addend = sum.CloseLayer();
+    if (!out.layers.empty()) out.layers.back().us = addend;
+  }
+
+  void BeginLayer(double a, double b, const std::string& label) {
+    CloseLayer();
+    sum.BeginLayer(a, b, label);
+    scale_a = a;
+    scale_b = b;
+    out.layers.push_back({out.layers.size(), label});
+  }
+
+  void AddTerm(std::int64_t per_sample_value, double slope, double intercept,
+               int cluster_id) {
+    const double raw =
+        sum.AddTerm(per_sample_value, slope, intercept, cluster_id);
+    // Scaling each term re-associates one multiply; the exact addend
+    // lives in the layer contribution.
+    const LayerContribution& layer = out.layers.back();
+    const double scaled = raw * scale_a * scale_b;
+    out.terms.push_back({layer.index, layer.label, cluster_id, raw, scaled});
+    ClusterContribution& cc = clusters[cluster_id];
+    cc.cluster_id = cluster_id;
+    cc.terms += 1;
+    cc.us += scaled;
+  }
+};
+
+}  // namespace
 
 PredictionBreakdown ExplainPlan(const PredictionPlan& plan,
                                 std::int64_t batch) {
   PredictionBreakdown out;
   out.layers.reserve(plan.layer_count());
   out.terms.reserve(plan.term_count());
-  std::map<int, ClusterContribution> clusters;  // sorted => deterministic
-  double total = 0.0;
-  std::uint32_t term = 0;
-  for (std::size_t i = 0; i < plan.layer_count(); ++i) {
-    const std::uint32_t end = plan.layer_end(i);
-    const double scale_a = plan.layer_scale_a(i);
-    const double scale_b = plan.layer_scale_b(i);
-    double subtotal = 0.0;
-    for (; term < end; ++term) {
-      // Same op order as EvalUs: x converts the int64 product once, the
-      // fit is intercept + slope * x, negatives clamp to zero.
-      const double x = static_cast<double>(batch * plan.term_value(term));
-      const double raw = std::max(
-          0.0, plan.term_intercept(term) + plan.term_slope(term) * x);
-      subtotal += raw;
-      TermContribution tc;
-      tc.layer = i;
-      tc.layer_label = plan.layer_label(i);
-      tc.cluster_id = plan.term_cluster(term);
-      tc.raw_us = raw;
-      // Applying the scales per term re-associates one multiply; the
-      // exact addend lives in the layer contribution below.
-      tc.scaled_us = raw * scale_a * scale_b;
-      ClusterContribution& cc = clusters[tc.cluster_id];
-      cc.cluster_id = tc.cluster_id;
-      cc.terms += 1;
-      cc.us += tc.scaled_us;
-      out.terms.push_back(std::move(tc));
-    }
-    const double addend = subtotal * scale_a * scale_b;
-    total += addend;
-    LayerContribution lc;
-    lc.index = i;
-    lc.label = plan.layer_label(i);
-    lc.us = addend;
-    out.layers.push_back(std::move(lc));
-  }
+  ExplainSink sink{BatchSum(batch), out};
+  plan.Replay(sink);
+  sink.CloseLayer();
+  const double total = sink.sum.TotalUs();
   out.total_us = total;
   for (LayerContribution& lc : out.layers) {
     lc.share = total != 0.0 ? lc.us / total : 0.0;
   }
-  out.clusters.reserve(clusters.size());
-  for (auto& [id, cc] : clusters) {
+  out.clusters.reserve(sink.clusters.size());
+  for (auto& [id, cc] : sink.clusters) {
     (void)id;
     cc.share = total != 0.0 ? cc.us / total : 0.0;
-    out.clusters.push_back(std::move(cc));
+    out.clusters.push_back(cc);
   }
   return out;
 }

@@ -6,17 +6,17 @@
  * Prediction-error attribution: decompose a compiled prediction into
  * per-layer, per-cluster, and per-term contributions.
  *
- * ExplainPlan replays PredictionPlan::EvalUs's exact floating-point
- * accumulation order through the plan's metadata accessors, so the
- * reported `total_us` is bit-identical to EvalUs (and therefore to
- * PredictUs, which plans mirror by construction). Each layer's
- * contribution is the exact addend `subtotal * scale_a * scale_b` that
- * EvalUs folds into its running total — summing the layer
- * contributions in order reproduces the total bit-for-bit. Per-term
- * and per-cluster contributions apply the layer scales to each term
- * individually, which re-associates one multiplication; their sums
- * agree with the total to within accumulated rounding (1 ulp per
- * term), never more.
+ * ExplainPlan replays the plan into a recording sink that wraps the
+ * one fold, models::BatchSum (see models/prediction_plan.h) — the fold
+ * PredictionPlan::EvalUs and the per-query PredictUs feed too. So the
+ * reported `total_us` is bit-identical to EvalUs and PredictUs by
+ * construction, not by mirroring their arithmetic. Each layer's
+ * contribution is the exact addend `subtotal * scale_a * scale_b` the
+ * fold adds to its running total — summing the layer contributions in
+ * order reproduces the total bit-for-bit. Per-term and per-cluster
+ * contributions apply the layer scales to each term individually, which
+ * re-associates one multiplication; their sums agree with the total to
+ * within accumulated rounding (1 ulp per term), never more.
  *
  * AttributeResiduals distributes an observed-minus-predicted residual
  * across kernel clusters in proportion to each cluster's share of the
@@ -38,11 +38,11 @@ struct TermContribution {
   std::size_t layer = 0;    // owning layer's index in the plan
   std::string layer_label;  // owning layer's name ("" for unlabeled plans)
   int cluster_id = -1;      // kernel cluster; -1 = layer-wise fallback
-  double raw_us = 0;        // max(0, intercept + slope * batch*value)
+  double raw_us = 0;        // the term's TermUs value
   double scaled_us = 0;     // raw_us * scale_a * scale_b
 };
 
-/** One layer's contribution: the exact addend EvalUs accumulates. */
+/** One layer's contribution: the exact addend the fold accumulates. */
 struct LayerContribution {
   std::size_t index = 0;
   std::string label;

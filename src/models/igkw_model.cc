@@ -143,8 +143,11 @@ void IgkwModel::FinalizeTables() {
   GP_CHECK_EQ(resolved_.size(), kw_.sig_index_.size());
 }
 
-const std::string& IgkwModel::NearestTrainingGpu(
-    const gpuexec::GpuSpec& gpu) const {
+IgkwModel::Target IgkwModel::TargetFor(const gpuexec::GpuSpec& gpu) const {
+  Target target;
+  target.features = Features(gpu);
+  // Fallback layers use the nearest-bandwidth training GPU's KW
+  // estimate, scaled by the bandwidth ratio (memory-bound default).
   const std::string* nearest = &training_gpus_.front();
   double best = 1e300;
   for (const std::string& name : training_gpus_) {
@@ -155,98 +158,64 @@ const std::string& IgkwModel::NearestTrainingGpu(
       nearest = &name;
     }
   }
-  return *nearest;
+  target.nearest_idx = kw_.GpuIndex(*nearest);
+  target.ratio =
+      gpuexec::GpuByName(*nearest).bandwidth_gbps / gpu.bandwidth_gbps;
+  return target;
 }
 
-double IgkwModel::PredictLayerResolved(int sid, const dnn::Layer& layer,
-                                       const gpuexec::GpuSpec& gpu,
-                                       const std::vector<double>& features,
-                                       std::int64_t batch) const {
-  // Fallbacks route through the nearest-bandwidth training GPU's KW
-  // estimate, scaled by the bandwidth ratio (memory-bound default). The
-  // sid is kw_'s, so the KW model needs no second resolution.
-  auto fallback = [&]() {
-    const std::string& nearest = NearestTrainingGpu(gpu);
-    const double near_bw = gpuexec::GpuByName(nearest).bandwidth_gbps;
-    return kw_.PredictLayerResolved(kw_.GpuIndex(nearest), sid, layer,
-                                    nearest, batch) *
-           (near_bw / gpu.bandwidth_gbps);
-  };
-  if (sid < 0) return fallback();
-  const ResolvedSig& resolved = resolved_[sid];
-  if (resolved.fallback) return fallback();
-
-  const double x_input = static_cast<double>(batch * layer.InputElements());
-  const double x_operation =
-      static_cast<double>(dnn::LayerFlops(layer, batch));
-  const double x_output =
-      static_cast<double>(batch * layer.output.Elements());
-
-  double total = 0;
-  for (const InterGpuKernelModel& law : resolved.laws) {
-    const regression::LinearFit fit = FitFromFeatures(law, features);
-    double x = x_operation;
-    if (law.driver == CostDriver::kInput) x = x_input;
-    if (law.driver == CostDriver::kOutput) x = x_output;
-    total += std::max(0.0, fit.Predict(x));
+template <typename Sink>
+void IgkwModel::EmitLayer(const Target& target, int sid,
+                          const dnn::Layer& layer, Sink& sink) const {
+  if (sid < 0 || resolved_[sid].fallback) {
+    // The sid is kw_'s, so the KW model needs no second resolution.
+    kw_.EmitLayer(target.nearest_idx, sid, layer, target.ratio, sink);
+    return;
   }
-  return total * mean_calibration_;
+  // Per-sample driver values, indexed by CostDriver.
+  const std::int64_t per_sample[] = {layer.InputElements(),
+                                     dnn::LayerFlops(layer, 1),
+                                     layer.output.Elements()};
+  sink.BeginLayer(mean_calibration_, 1.0, layer.name);
+  for (const InterGpuKernelModel& law : resolved_[sid].laws) {
+    const regression::LinearFit fit = FitFromFeatures(law, target.features);
+    sink.AddTerm(per_sample[static_cast<int>(law.driver)], fit.slope,
+                 fit.intercept, -1);
+  }
+}
+
+template <typename Sink>
+void IgkwModel::EmitNetwork(const Target& target, const dnn::Network& network,
+                            Sink& sink) const {
+  // Per-layer signature resolution is memoized per network (in kw_,
+  // shared with KW), so the loop does no string work.
+  const std::vector<int>& sids = kw_.SidsFor(network);
+  const std::vector<dnn::Layer>& layers = network.layers();
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    EmitLayer(target, sids[i], layers[i], sink);
+  }
 }
 
 double IgkwModel::PredictLayerUs(const dnn::Layer& layer,
                                  const gpuexec::GpuSpec& gpu,
                                  std::int64_t batch) const {
-  return PredictLayerResolved(kw_.ResolveSid(layer), layer, gpu,
-                              Features(gpu), batch);
+  BatchSum sum(batch);
+  EmitLayer(TargetFor(gpu), kw_.ResolveSid(layer), layer, sum);
+  return sum.TotalUs();
 }
 
 double IgkwModel::PredictUs(const dnn::Network& network,
                             const gpuexec::GpuSpec& gpu,
                             std::int64_t batch) const {
-  // GPU features are evaluated once per call, and per-layer signature
-  // resolution is memoized per network (in kw_, shared with KW), so the
-  // loop below does no string building, hashing, or map lookups.
-  const std::vector<double> features = Features(gpu);
-  const std::vector<int>& sids = kw_.SidsFor(network);
-  const std::vector<dnn::Layer>& layers = network.layers();
-  double total = 0;
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    total += PredictLayerResolved(sids[i], layers[i], gpu, features, batch);
-  }
-  return total;
+  BatchSum sum(batch);
+  EmitNetwork(TargetFor(gpu), network, sum);
+  return sum.TotalUs();
 }
 
 PredictionPlan IgkwModel::CompilePlan(const dnn::Network& network,
                                       const gpuexec::GpuSpec& gpu) const {
-  const std::vector<double> features = Features(gpu);
-  // The nearest-bandwidth training GPU and its scaling ratio depend
-  // only on the target spec, so they are resolved once per plan instead
-  // of once per fallback layer per query.
-  const std::string& nearest = NearestTrainingGpu(gpu);
-  const int nearest_idx = kw_.GpuIndex(nearest);
-  const double near_bw = gpuexec::GpuByName(nearest).bandwidth_gbps;
-  const double ratio = near_bw / gpu.bandwidth_gbps;
-
-  const std::vector<int>& sids = kw_.SidsFor(network);
-  const std::vector<dnn::Layer>& layers = network.layers();
   PredictionPlan plan;
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    const int sid = sids[i];
-    if (sid < 0 || resolved_[sid].fallback) {
-      // Nearest-GPU KW estimate scaled by the bandwidth ratio — the KW
-      // model compiles the layer (same sid) with `ratio` as the
-      // trailing scale, reproducing the PredictUs fallback bit-for-bit.
-      kw_.CompileResolvedInto(nearest_idx, sid, layers[i], nearest, ratio,
-                              plan);
-      continue;
-    }
-    plan.BeginLayer(mean_calibration_, 1.0);
-    for (const InterGpuKernelModel& law : resolved_[sid].laws) {
-      const regression::LinearFit fit = FitFromFeatures(law, features);
-      plan.AddTerm(gpuexec::PerSampleDriverValue(layers[i], law.driver),
-                   fit.slope, fit.intercept);
-    }
-  }
+  EmitNetwork(TargetFor(gpu), network, plan);
   return plan;
 }
 

@@ -111,14 +111,29 @@ class IgkwModel : public Predictor {
    */
   void FinalizeTables();
 
-  /** The training GPU whose bandwidth is closest to `gpu`'s. */
-  const std::string& NearestTrainingGpu(const gpuexec::GpuSpec& gpu) const;
+  /** What a target spec fixes for one predict or compile call. */
+  struct Target {
+    std::vector<double> features;  // Features(spec)
+    int nearest_idx = -1;  // kw_ index of the nearest-bandwidth training GPU
+    double ratio = 1.0;    // its bandwidth / the spec's: fallback scale
+  };
+  Target TargetFor(const gpuexec::GpuSpec& gpu) const;
 
-  /** Layer prediction from a resolved sid and precomputed GPU features. */
-  double PredictLayerResolved(int sid, const dnn::Layer& layer,
-                              const gpuexec::GpuSpec& gpu,
-                              const std::vector<double>& features,
-                              std::int64_t batch) const;
+  /**
+   * The one per-layer term emitter (see models/prediction_plan.h):
+   * BeginLayer(mean calibration, 1.0, name) plus one AddTerm per kernel
+   * law evaluated at the target's features. Fallback layers go to
+   * kw_.EmitLayer on the nearest training GPU with the bandwidth ratio
+   * as its extra scale.
+   */
+  template <typename Sink>
+  void EmitLayer(const Target& target, int sid, const dnn::Layer& layer,
+                 Sink& sink) const;
+
+  /** EmitLayer over every layer of `network`, through kw_'s sid memo. */
+  template <typename Sink>
+  void EmitNetwork(const Target& target, const dnn::Network& network,
+                   Sink& sink) const;
 
   /** The fitted line evaluated from precomputed features. */
   regression::LinearFit FitFromFeatures(

@@ -221,10 +221,10 @@ void KwModel::Train(const dataset::Dataset& data,
       const auto& kernels = per_gpu_.at(data.gpus().Get(row.gpu_id));
       auto it = kernels.find(data.kernels().Get(row.kernel_id));
       if (it == kernels.end()) continue;
-      const double x =
-          static_cast<double>(row.DriverValue(it->second.driver));
+      // Rows carry batch-scaled driver values, hence a batch of 1.
       predicted_sums[{row.gpu_id, row.network_id}] +=
-          std::max(0.0, it->second.fit.Predict(x));
+          TermUs(1, row.DriverValue(it->second.driver), it->second.fit.slope,
+                 it->second.fit.intercept);
     }
     std::map<int, std::pair<double, double>> totals;  // gpu -> (e2e, pred)
     for (const dataset::NetworkRow& row : data.network_rows()) {
@@ -375,35 +375,37 @@ int KwModel::GpuIndex(const std::string& gpu_name) const {
   return it->second;
 }
 
-double KwModel::PredictLayerResolved(int gpu_idx, int sid,
-                                     const dnn::Layer& layer,
-                                     const std::string& gpu_name,
-                                     std::int64_t batch) const {
-  if (sid < 0) {
-    // Unknown layer configuration: layer-wise estimate.
-    return lw_fallback_.PredictLayerUs(layer, gpu_name, batch);
+template <typename Sink>
+void KwModel::EmitLayer(int gpu_idx, int sid, const dnn::Layer& layer,
+                        double extra_scale, Sink& sink) const {
+  if (sid < 0 || resolved_[gpu_idx][sid].use_lw) {
+    // Unknown layer configuration or kernel: one layer-wise FLOPs term,
+    // no calibration factor.
+    sink.BeginLayer(1.0, extra_scale, layer.name);
+    const regression::LinearFit* fit =
+        lw_fallback_.FitFor(gpu_names_[gpu_idx], layer.kind);
+    if (fit != nullptr) {
+      sink.AddTerm(dnn::LayerFlops(layer, 1), fit->slope, fit->intercept,
+                   -1);
+    }
+    return;
   }
-  const ResolvedLayer& resolved = resolved_[gpu_idx][sid];
-  if (resolved.use_lw) {
-    return lw_fallback_.PredictLayerUs(layer, gpu_name, batch);
+  // Per-sample driver values, indexed by CostDriver.
+  const std::int64_t per_sample[] = {layer.InputElements(),
+                                     dnn::LayerFlops(layer, 1),
+                                     layer.output.Elements()};
+  sink.BeginLayer(calibration_by_gpu_[gpu_idx], extra_scale, layer.name);
+  for (const ResolvedKernel& kernel : resolved_[gpu_idx][sid].kernels) {
+    sink.AddTerm(per_sample[static_cast<int>(kernel.driver)], kernel.slope,
+                 kernel.intercept, kernel.cluster_id);
   }
-
-  const double x_input =
-      static_cast<double>(batch * layer.InputElements());
-  const double x_operation =
-      static_cast<double>(dnn::LayerFlops(layer, batch));
-  const double x_output =
-      static_cast<double>(batch * layer.output.Elements());
-
-  double total = 0;
-  for (const ResolvedKernel& kernel : resolved.kernels) {
-    double x = x_operation;
-    if (kernel.driver == CostDriver::kInput) x = x_input;
-    if (kernel.driver == CostDriver::kOutput) x = x_output;
-    total += std::max(0.0, kernel.intercept + kernel.slope * x);
-  }
-  return total * calibration_by_gpu_[gpu_idx];
 }
+
+// IGKW emits its fallback layers through this model into both sinks.
+template void KwModel::EmitLayer(int, int, const dnn::Layer&, double,
+                                 BatchSum&) const;
+template void KwModel::EmitLayer(int, int, const dnn::Layer&, double,
+                                 PredictionPlan&) const;
 
 bool KwModel::AppendKernelTerms(const dnn::Layer& layer,
                                 const std::string& gpu_name,
@@ -412,20 +414,18 @@ bool KwModel::AppendKernelTerms(const dnn::Layer& layer,
   const int gpu_idx = GpuIndex(gpu_name);
   const int sid = ResolveSid(layer);
   if (sid < 0 || resolved_[gpu_idx][sid].use_lw) return false;
-  const ResolvedLayer& resolved = resolved_[gpu_idx][sid];
-
-  const double x_input = static_cast<double>(batch * layer.InputElements());
-  const double x_operation =
-      static_cast<double>(dnn::LayerFlops(layer, batch));
-  const double x_output =
-      static_cast<double>(batch * layer.output.Elements());
-  for (const ResolvedKernel& kernel : resolved.kernels) {
-    double x = x_operation;
-    if (kernel.driver == CostDriver::kInput) x = x_input;
-    if (kernel.driver == CostDriver::kOutput) x = x_output;
-    out->push_back({kernel.cluster_id, x,
-                    std::max(0.0, kernel.intercept + kernel.slope * x)});
-  }
+  // Each term as the fold sees it, before the layer's calibration.
+  struct TermSink {
+    std::int64_t batch;
+    std::vector<KernelTerm>* out;
+    void BeginLayer(double, double, const std::string&) {}
+    void AddTerm(std::int64_t value, double slope, double intercept,
+                 int cluster_id) {
+      out->push_back({cluster_id, static_cast<double>(batch * value),
+                      TermUs(batch, value, slope, intercept)});
+    }
+  } sink{batch, out};
+  EmitLayer(gpu_idx, sid, layer, 1.0, sink);
   return true;
 }
 
@@ -444,70 +444,39 @@ int KwModel::UpdateClusterFit(const std::string& gpu_name, int cluster_id,
   return updated;
 }
 
+template <typename Sink>
+void KwModel::EmitNetwork(int gpu_idx, const dnn::Network& network,
+                          Sink& sink) const {
+  // Signature ids come from the per-network memo, so the loop does no
+  // string building, hashing, or map lookups, and a network compiled
+  // for all seven GPUs builds its signatures once.
+  const std::vector<int>& sids = SidsFor(network);
+  const std::vector<dnn::Layer>& layers = network.layers();
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    EmitLayer(gpu_idx, sids[i], layers[i], 1.0, sink);
+  }
+}
+
 double KwModel::PredictLayerUs(const dnn::Layer& layer,
                                const std::string& gpu_name,
                                std::int64_t batch) const {
-  return PredictLayerResolved(GpuIndex(gpu_name), ResolveSid(layer), layer,
-                              gpu_name, batch);
+  BatchSum sum(batch);
+  EmitLayer(GpuIndex(gpu_name), ResolveSid(layer), layer, 1.0, sum);
+  return sum.TotalUs();
 }
 
 double KwModel::PredictUs(const dnn::Network& network,
                           const gpuexec::GpuSpec& gpu,
                           std::int64_t batch) const {
-  const int gpu_idx = GpuIndex(gpu.name);
-  // Per-layer signature resolution is memoized per network, so the loop
-  // below does no string building, hashing, or map lookups.
-  const std::vector<int>& sids = SidsFor(network);
-  const std::vector<dnn::Layer>& layers = network.layers();
-  double total = 0;
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    total +=
-        PredictLayerResolved(gpu_idx, sids[i], layers[i], gpu.name, batch);
-  }
-  return total;
-}
-
-void KwModel::CompileLayerInto(const dnn::Layer& layer,
-                               const std::string& gpu_name,
-                               double extra_scale,
-                               PredictionPlan& plan) const {
-  CompileResolvedInto(GpuIndex(gpu_name), ResolveSid(layer), layer, gpu_name,
-                      extra_scale, plan);
-}
-
-void KwModel::CompileResolvedInto(int gpu_idx, int sid,
-                                  const dnn::Layer& layer,
-                                  const std::string& gpu_name,
-                                  double extra_scale,
-                                  PredictionPlan& plan) const {
-  if (sid < 0 || resolved_[gpu_idx][sid].use_lw) {
-    // Layer-wise fallback: max(0, fit(FLOPs)), no calibration factor.
-    plan.BeginLayer(1.0, extra_scale, layer.name);
-    const regression::LinearFit* fit =
-        lw_fallback_.FitFor(gpu_name, layer.kind);
-    if (fit != nullptr) {
-      plan.AddTerm(dnn::LayerFlops(layer, 1), fit->slope, fit->intercept);
-    }
-    return;
-  }
-  plan.BeginLayer(calibration_by_gpu_[gpu_idx], extra_scale, layer.name);
-  for (const ResolvedKernel& kernel : resolved_[gpu_idx][sid].kernels) {
-    plan.AddTerm(gpuexec::PerSampleDriverValue(layer, kernel.driver),
-                 kernel.slope, kernel.intercept, kernel.cluster_id);
-  }
+  BatchSum sum(batch);
+  EmitNetwork(GpuIndex(gpu.name), network, sum);
+  return sum.TotalUs();
 }
 
 PredictionPlan KwModel::CompilePlan(const dnn::Network& network,
                                     int gpu_idx) const {
-  // Signature ids come from the per-network memo: a network compiled
-  // for all seven GPUs builds its signatures once, not once per GPU.
-  const std::vector<int>& sids = SidsFor(network);
-  const std::vector<dnn::Layer>& layers = network.layers();
   PredictionPlan plan;
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    CompileResolvedInto(gpu_idx, sids[i], layers[i], gpu_names_[gpu_idx], 1.0,
-                        plan);
-  }
+  EmitNetwork(gpu_idx, network, plan);
   return plan;
 }
 

@@ -18,6 +18,11 @@
  * Prediction sums per-kernel regression outputs over the kernel lists of
  * all layers; unseen layer signatures fall back to a reduced
  * (type + filter parameters) key, and unseen kernels to a layer-wise fit.
+ * One private emitter, EmitLayer, turns a layer into those terms. Every
+ * prediction path — PredictUs, PredictLayerUs, plan compiles (and so
+ * PredictMany and explain) and AppendKernelTerms — is that emitter
+ * feeding a sink from models/prediction_plan.h, so the paths agree bit
+ * for bit by construction.
  */
 
 #include <cstdint>
@@ -99,16 +104,6 @@ class KwModel : public Predictor {
   const PredictionPlan* PlanFor(const dnn::Network& network,
                                 const gpuexec::GpuSpec& gpu) const;
 
-  /**
-   * Appends `layer`'s compiled terms to `plan` as one plan layer whose
-   * subtotal is scaled by the GPU calibration factor (resolved layers)
-   * and then by `extra_scale` (1.0 unless the caller rescales the
-   * layer). Resolves the layer's signature, then compiles it exactly as
-   * PlanFor does. Fatal on an untrained GPU.
-   */
-  void CompileLayerInto(const dnn::Layer& layer, const std::string& gpu_name,
-                        double extra_scale, PredictionPlan& plan) const;
-
   /** Predicted time of one layer (case studies 2 and 3 schedule layers). */
   double PredictLayerUs(const dnn::Layer& layer, const std::string& gpu_name,
                         std::int64_t batch) const;
@@ -123,7 +118,7 @@ class KwModel : public Predictor {
   struct KernelTerm {
     int cluster_id = -1;  // shared-regression id on this GPU
     double x = 0;         // batch-scaled driver value fed into the fit
-    double us = 0;        // max(0, intercept + slope * x), pre-calibration
+    double us = 0;        // the term's TermUs value, pre-calibration
   };
 
   /**
@@ -194,7 +189,7 @@ class KwModel : public Predictor {
  private:
   friend class ModelIo;
   // IGKW resolves layers through this model's signature ids and
-  // per-network memo, and compiles its fallback layers through it.
+  // per-network memo, and emits its fallback layers through it.
   friend class IgkwModel;
 
   /** One mapping-table kernel resolved to its fitted line. */
@@ -202,7 +197,7 @@ class KwModel : public Predictor {
     gpuexec::CostDriver driver = gpuexec::CostDriver::kOperation;
     double slope = 0;
     double intercept = 0;
-    int cluster_id = -1;  // drift attribution; not used by prediction
+    int cluster_id = -1;  // explain/drift metadata; the fold ignores it
   };
 
   /** A layer signature fully resolved for one GPU. */
@@ -232,19 +227,22 @@ class KwModel : public Predictor {
   /** Dense index of a trained GPU; Fatal on an untrained one. */
   int GpuIndex(const std::string& gpu_name) const;
 
-  /** Hot-path layer prediction from pre-resolved ids; no string work. */
-  double PredictLayerResolved(int gpu_idx, int sid, const dnn::Layer& layer,
-                              const std::string& gpu_name,
-                              std::int64_t batch) const;
-
   /**
-   * CompileLayerInto with the GPU index and signature id already
-   * resolved. Mirrors PredictLayerResolved: the plan's per-layer sweep
-   * performs the same floating-point operations in the same order.
+   * The one per-layer term emitter (see models/prediction_plan.h): emits
+   * `layer` into `sink` as BeginLayer(calibration, `extra_scale`, name)
+   * plus one AddTerm per kernel. A layer-wise fallback layer (unmapped
+   * signature or an unusable kernel) is one FLOPs term with scale 1.0.
+   * The three per-sample driver values are computed once per layer.
+   * `extra_scale` is 1.0 unless IGKW rescales a fallback layer.
    */
-  void CompileResolvedInto(int gpu_idx, int sid, const dnn::Layer& layer,
-                           const std::string& gpu_name, double extra_scale,
-                           PredictionPlan& plan) const;
+  template <typename Sink>
+  void EmitLayer(int gpu_idx, int sid, const dnn::Layer& layer,
+                 double extra_scale, Sink& sink) const;
+
+  /** EmitLayer over every layer of `network`, through the sid memo. */
+  template <typename Sink>
+  void EmitNetwork(int gpu_idx, const dnn::Network& network,
+                   Sink& sink) const;
 
   /** Compiles the whole network for one GPU (PlanFor cache misses). */
   PredictionPlan CompilePlan(const dnn::Network& network, int gpu_idx) const;

@@ -1,9 +1,8 @@
 #include "models/lw_model.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "dnn/flops.h"
+#include "models/prediction_plan.h"
 
 namespace gpuperf::models {
 
@@ -45,8 +44,8 @@ double LwModel::PredictLayerUs(const dnn::Layer& layer,
                                std::int64_t batch) const {
   const regression::LinearFit* fit = FitFor(gpu_name, layer.kind);
   if (fit == nullptr) return 0.0;  // unseen layer type contributes nothing
-  const double flops = static_cast<double>(dnn::LayerFlops(layer, batch));
-  return std::max(0.0, fit->Predict(flops));
+  // The KW fallback term; FLOPs are exactly batch-linear in int64.
+  return TermUs(batch, dnn::LayerFlops(layer, 1), fit->slope, fit->intercept);
 }
 
 double LwModel::PredictUs(const dnn::Network& network,

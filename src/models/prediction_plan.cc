@@ -1,6 +1,5 @@
 #include "models/prediction_plan.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "obs/metrics_registry.h"
@@ -42,11 +41,11 @@ std::string SlotKeyString(const PlanCache::SlotKey& slot) {
 }  // namespace
 
 void PredictionPlan::BeginLayer(double scale_a, double scale_b,
-                                std::string label) {
+                                const std::string& label) {
   layer_end_.push_back(static_cast<std::uint32_t>(value_.size()));
   scale_a_.push_back(scale_a);
   scale_b_.push_back(scale_b);
-  label_.push_back(std::move(label));
+  label_.push_back(label);
 }
 
 void PredictionPlan::AddTerm(std::int64_t per_sample_value, double slope,
@@ -60,33 +59,9 @@ void PredictionPlan::AddTerm(std::int64_t per_sample_value, double slope,
 }
 
 double PredictionPlan::EvalUs(std::int64_t batch) const {
-  const std::int64_t* value = value_.data();
-  const double* slope = slope_.data();
-  const double* intercept = intercept_.data();
-  double total = 0.0;
-  std::uint32_t term = 0;
-  const std::size_t layers = layer_end_.size();
-  for (std::size_t i = 0; i < layers; ++i) {
-    const std::uint32_t end = layer_end_[i];
-    double subtotal = 0.0;
-    for (; term < end; ++term) {
-      // Same float op order as Kw/Igkw PredictLayerResolved: the driver
-      // value is an int64 product converted once, the fit is evaluated
-      // as intercept + slope * x, negatives clamp to zero.
-      const double x = static_cast<double>(batch * value[term]);
-      subtotal += std::max(0.0, intercept[term] + slope[term] * x);
-    }
-    total += subtotal * scale_a_[i] * scale_b_[i];
-  }
-  return total;
-}
-
-void PredictionPlan::EvalMany(std::span<const std::int64_t> batches,
-                              std::span<double> out_us) const {
-  GP_CHECK_EQ(batches.size(), out_us.size());
-  for (std::size_t i = 0; i < batches.size(); ++i) {
-    out_us[i] = EvalUs(batches[i]);
-  }
+  BatchSum sum(batch);
+  Replay(sum);
+  return sum.TotalUs();
 }
 
 PlanCache::PlanCache(const PlanCache& other) {

@@ -3,30 +3,25 @@
 
 /**
  * @file
- * Compiled prediction plans — the sub-microsecond batched predict path.
+ * The term walk of KW and IGKW, and compiled prediction plans — the
+ * sub-microsecond batched predict path.
  *
- * A trained KW/IGKW model answers `PredictUs` by walking string-keyed
- * and dense-ID tables per layer, recomputing the layer's cost-driver
- * feature values, and touching a shared_ptr-guarded memo per call. That
- * costs single-digit microseconds per network — fine for offline
- * studies, a bottleneck once the predictor sits inside every
- * admission/batching/dispatch decision of a serving loop.
+ * Both models predict a network as a sum of per-kernel linear terms
+ * (paper Sections 5.4-5.5), written down once per model: a private
+ * per-layer emitter (`KwModel::EmitLayer`, `IgkwModel::EmitLayer`)
+ * calls `sink.BeginLayer(scale_a, scale_b, label)` and then
+ * `sink.AddTerm(per_sample_value, slope, intercept, cluster_id)` per
+ * kernel. BatchSum, the one fold, turns the calls into a prediction for
+ * one batch (PredictUs); a PredictionPlan records them for one
+ * (network, GPU) pair, and EvalUs and models/explain.h replay a plan
+ * into a BatchSum. Every path thus runs the same floating-point
+ * operations in the same order by construction.
  *
- * A PredictionPlan freezes one (network, GPU) pair into a flat
- * structure-of-arrays program: one term per kernel (or per layer-wise
- * fallback fit) holding the per-sample cost-driver value and the fitted
- * slope/intercept, grouped into layers that carry the calibration
- * scales. Evaluating a query is then a single linear sweep over plain
- * arrays — no hash lookups, no shared_ptr refcount churn, no virtual
- * dispatch, no allocation — and is bit-identical to `PredictUs` by
- * construction (the sweep performs the exact same floating-point
- * operations in the exact same order).
- *
- * Batch size is a *query* axis, not a plan axis: every cost driver the
- * models use (input NCHW, layer FLOPs, output NCHW) is linear in batch
+ * Batch size is a *query* axis, not a plan axis: every cost driver
+ * (input NCHW, layer FLOPs, output NCHW) is linear in batch
  * (`bench_fig05_batch_linear`), so a term stores the per-sample value
- * and the sweep multiplies by the query's batch. One plan serves all
- * batch sizes.
+ * and TermUs multiplies it by the query's batch. One plan serves all
+ * batch sizes with no hashing, refcounting, dispatch or allocation.
  *
  * Plans live in a per-model PlanCache keyed by network name (validated
  * against the structural fingerprint, an O(1) read of the hash
@@ -45,6 +40,7 @@
  * on).
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -62,68 +58,112 @@
 namespace gpuperf::models {
 
 /**
- * A compiled (network, GPU) prediction program: contiguous per-term
- * arrays swept in layer order. Immutable after compilation; safe to
- * evaluate from concurrent threads.
+ * The one term evaluation: the fitted line at the batch-scaled driver
+ * value, clamped at zero. Callers keep `batch * per_sample_value` within
+ * int64 (the CLI bounds every batch).
+ */
+inline double TermUs(std::int64_t batch, std::int64_t per_sample_value,
+                     double slope, double intercept) {
+  const double x = static_cast<double>(batch * per_sample_value);
+  return std::max(0.0, intercept + slope * x);
+}
+
+/**
+ * The one layer fold, a sink for one batch size: a layer's TermUs values
+ * add into a subtotal, and closing the layer adds
+ * `subtotal * scale_a * scale_b` to the total. `scale_a` is the KW
+ * per-GPU or IGKW mean calibration (1.0 on layer-wise fallback layers),
+ * `scale_b` the IGKW nearest-GPU bandwidth ratio (1.0 otherwise); a 1.0
+ * never perturbs a result. Labels and cluster ids are explain-only.
+ * BeginLayer closes the open layer; closing a closed one adds +0.
+ */
+class BatchSum {
+ public:
+  explicit BatchSum(std::int64_t batch) : batch_(batch) {}
+
+  void BeginLayer(double scale_a, double scale_b, const std::string&) {
+    CloseLayer();
+    scale_a_ = scale_a;
+    scale_b_ = scale_b;
+  }
+
+  /** Adds one term to the open layer; returns its TermUs value. */
+  double AddTerm(std::int64_t per_sample_value, double slope,
+                 double intercept, int) {
+    const double us = TermUs(batch_, per_sample_value, slope, intercept);
+    subtotal_ += us;
+    return us;
+  }
+
+  /** Folds the open layer into the total; returns that exact addend. */
+  double CloseLayer() {
+    const double addend = subtotal_ * scale_a_ * scale_b_;
+    total_ += addend;
+    subtotal_ = 0.0;
+    return addend;
+  }
+
+  /** Closes the open layer; the predicted microseconds. */
+  double TotalUs() {
+    CloseLayer();
+    return total_;
+  }
+
+ private:
+  std::int64_t batch_;
+  double scale_a_ = 1.0;
+  double scale_b_ = 1.0;
+  double subtotal_ = 0.0;
+  double total_ = 0.0;
+};
+
+/**
+ * A compiled (network, GPU) prediction program: the emitter's calls,
+ * recorded into contiguous per-term arrays in layer order. Immutable
+ * after compilation; safe to evaluate from concurrent threads.
  */
 class PredictionPlan {
  public:
-  /**
-   * Opens the next layer group. `scale_a` multiplies the layer's term
-   * sum first (the KW per-GPU or IGKW mean calibration factor; 1.0 for
-   * layer-wise fallback terms), `scale_b` second (the IGKW
-   * nearest-GPU bandwidth ratio; 1.0 otherwise). Multiplying by 1.0 is
-   * an IEEE identity, so unused scales never perturb bit-equality.
-   * `label` is explain-only metadata (the layer's name; never read by
-   * the evaluation sweep).
-   */
-  void BeginLayer(double scale_a, double scale_b, std::string label = "");
-
-  /**
-   * Appends one `max(0, intercept + slope * (batch * per_sample_value))`
-   * term to the currently open layer. `cluster_id` is explain-only
-   * metadata (the kernel cluster the fit came from; -1 for layer-wise
-   * fallback terms).
-   */
+  // The sink calls an emitter makes (see BatchSum).
+  void BeginLayer(double scale_a, double scale_b, const std::string& label);
   void AddTerm(std::int64_t per_sample_value, double slope, double intercept,
-               int cluster_id = -1);
+               int cluster_id);
 
   /** Predicted end-to-end microseconds for one batch size. */
   double EvalUs(std::int64_t batch) const;
 
-  /** One EvalUs per entry; `out_us.size()` must equal `batches.size()`. */
-  void EvalMany(std::span<const std::int64_t> batches,
-                std::span<double> out_us) const;
+  /** Replays the recorded sink calls, in order, into `sink`. */
+  template <typename Sink>
+  void Replay(Sink& sink) const {
+    const std::int64_t* value = value_.data();
+    const double* slope = slope_.data();
+    const double* intercept = intercept_.data();
+    const int* cluster = cluster_.data();
+    std::uint32_t term = 0;
+    const std::size_t layers = layer_end_.size();
+    for (std::size_t i = 0; i < layers; ++i) {
+      sink.BeginLayer(scale_a_[i], scale_b_[i], label_[i]);
+      for (const std::uint32_t end = layer_end_[i]; term < end; ++term) {
+        sink.AddTerm(value[term], slope[term], intercept[term], cluster[term]);
+      }
+    }
+  }
 
   std::size_t layer_count() const { return layer_end_.size(); }
   std::size_t term_count() const { return value_.size(); }
-
-  // --- Plan-walking accessors (models/explain.h decomposes a
-  // prediction by replaying EvalUs's exact op order through these).
-  std::uint32_t layer_end(std::size_t layer) const {
-    return layer_end_[layer];
-  }
-  double layer_scale_a(std::size_t layer) const { return scale_a_[layer]; }
   double layer_scale_b(std::size_t layer) const { return scale_b_[layer]; }
-  const std::string& layer_label(std::size_t layer) const {
-    return label_[layer];
-  }
-  std::int64_t term_value(std::size_t term) const { return value_[term]; }
-  double term_slope(std::size_t term) const { return slope_[term]; }
-  double term_intercept(std::size_t term) const { return intercept_[term]; }
-  int term_cluster(std::size_t term) const { return cluster_[term]; }
 
  private:
   // Terms (SoA): per-sample cost-driver value and fitted line.
   std::vector<std::int64_t> value_;
   std::vector<double> slope_;
   std::vector<double> intercept_;
-  std::vector<int> cluster_;  // explain metadata; not read by EvalUs
+  std::vector<int> cluster_;  // explain metadata; the fold ignores it
   // Layers: exclusive end index into the term arrays plus both scales.
   std::vector<std::uint32_t> layer_end_;
   std::vector<double> scale_a_;
   std::vector<double> scale_b_;
-  std::vector<std::string> label_;  // explain metadata; not read by EvalUs
+  std::vector<std::string> label_;  // explain metadata; the fold ignores it
 };
 
 /**

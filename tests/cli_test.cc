@@ -9,10 +9,13 @@
 
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -23,7 +26,11 @@
 
 #include "cli_flags.h"
 #include "common/string_util.h"
+#include "dnn/flops.h"
+#include "gpuexec/kernel.h"
+#include "gpuexec/lowering.h"
 #include "test_support.h"
+#include "zoo/zoo.h"
 
 namespace gpuperf {
 namespace {
@@ -344,6 +351,53 @@ TEST(CliTest, InvalidBundleCheckFlagsExitOneWithOneLineErrors) {
       {"bundle-check --candidate x --networks nosuchnet", "nosuchnet"},
   };
   ExpectOneLineErrors(cases);
+}
+
+TEST(CliTest, HugeBatchesExitOneWithOneLineErrors) {
+  const std::string flag_error =
+      Format("--batch must be a positive integer <= %lld", cli::kMaxBatch);
+  const std::string positional_error = flag_error.substr(2);
+  const std::string predict =
+      "predict --model \"" + testing::GoldenKwBundleDir() + "\" resnet18 A100 ";
+  const std::string predict_huge = predict + "1000000000000000000";
+  const std::string predict_zero = predict + "0";
+  const std::string roofline_over =
+      Format("roofline resnet18 A100 %lld", cli::kMaxBatch + 1);
+  ExpectOneLineErrors({
+      // Unbounded, this batch overflows lowering's int64 block counts.
+      {"serve-sim --batch 1000000000000000000 --duration 1",
+       flag_error.c_str()},
+      {predict_huge.c_str(), positional_error.c_str()},
+      {predict_zero.c_str(), positional_error.c_str()},
+      {roofline_over.c_str(), positional_error.c_str()},
+      {"roofline resnet18 A100 x", positional_error.c_str()},
+  });
+}
+
+// Predictors multiply a batch by per-sample driver values, and lowering
+// by per-sample FLOPs, bytes and launch grids, all in int64: at the
+// CLI's largest batch every such product over the zoo must still fit.
+TEST(CliTest, BatchBoundKeepsZooProductsInInt64) {
+  std::int64_t largest = 0;
+  for (const dnn::Network& network : zoo::SmallZoo(1)) {
+    largest = std::max(largest, dnn::NetworkFlops(network, 1));
+    for (const dnn::Layer& layer : network.layers()) {
+      for (gpuexec::CostDriver driver :
+           {gpuexec::CostDriver::kInput, gpuexec::CostDriver::kOperation,
+            gpuexec::CostDriver::kOutput}) {
+        largest =
+            std::max(largest, gpuexec::PerSampleDriverValue(layer, driver));
+      }
+      for (const gpuexec::KernelLaunch& launch :
+           gpuexec::LowerLayer(layer, 1)) {
+        largest = std::max({largest, launch.flops, launch.bytes_in,
+                            launch.bytes_out, launch.blocks});
+      }
+    }
+  }
+  EXPECT_LE(largest,
+            std::numeric_limits<std::int64_t>::max() / cli::kMaxBatch)
+      << "largest per-sample product " << largest;
 }
 
 TEST(CliTest, BundleCheckPromotesAHealthyBundle) {

@@ -3,11 +3,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dataset/builder.h"
+#include "dnn/builder.h"
 #include "dnn/network.h"
 #include "gpuexec/gpu_spec.h"
 #include "models/kw_model.h"
@@ -49,9 +51,9 @@ struct FullGpuCampaign {
 
 TEST(ExplainTest, TotalIsBitIdenticalToPredictUsEverywhere) {
   // The acceptance sweep: every zoo network x all seven GPUs x the
-  // standard batches. ExplainPlan replays EvalUs's accumulation order,
-  // so its total — and the ordered sum of its layer contributions —
-  // must equal PredictUs bit-for-bit, not approximately.
+  // standard batches. ExplainPlan folds through the same BatchSum as
+  // EvalUs and PredictUs, so its total — and the ordered sum of its layer
+  // contributions — must equal PredictUs bit-for-bit, not approximately.
   const FullGpuCampaign& campaign = FullGpuCampaign::Get();
   for (const dnn::Network& network : campaign.networks) {
     for (const gpuexec::GpuSpec& gpu : gpuexec::AllGpus()) {
@@ -71,6 +73,73 @@ TEST(ExplainTest, TotalIsBitIdenticalToPredictUsEverywhere) {
       }
     }
   }
+}
+
+// AppendKernelTerms is the refit path's view of a prediction
+// (LifecycleController::Observe attributes residuals to its terms), so
+// it must be the explained plan's terms exactly: false on layer-wise and
+// unmapped layers, and on resolved layers the same (cluster, raw_us)
+// terms, summing times the calibration factor to PredictLayerUs.
+TEST(ExplainTest, KernelTermsAreTheExplainedTermsOfEveryLayer) {
+  const FullGpuCampaign& campaign = FullGpuCampaign::Get();
+  dnn::NetworkBuilder b("exotic", "Test", dnn::Chw(37, 61, 61));
+  b.Conv(41, 13, 5, 1);
+  const dnn::Network exotic = b.Build();
+  std::vector<const dnn::Network*> networks = {&exotic};
+  for (const dnn::Network& network : campaign.networks) {
+    networks.push_back(&network);
+  }
+  const KwModel& kw = campaign.kw;
+  int resolved_layers = 0, unmapped_layers = 0;
+  for (const dnn::Network* network : networks) {
+    for (const gpuexec::GpuSpec& gpu : gpuexec::AllGpus()) {
+      for (std::int64_t batch : kBatches) {
+        const PredictionBreakdown breakdown =
+            ExplainPlan(*kw.PlanFor(*network, gpu), batch);
+        std::size_t next = 0;  // the first explained term of layer i
+        for (std::size_t i = 0; i < network->layers().size(); ++i) {
+          SCOPED_TRACE(network->name() + " layer " + std::to_string(i) +
+                       " on " + gpu.name + " batch " +
+                       std::to_string(batch));
+          const dnn::Layer& layer = network->layers()[i];
+          std::vector<const TermContribution*> explained;
+          for (; next < breakdown.terms.size() &&
+                 breakdown.terms[next].layer == i;
+               ++next) {
+            explained.push_back(&breakdown.terms[next]);
+          }
+          // Resolved kernels always carry a cluster; layer-wise terms -1.
+          const bool kernel_wise =
+              !explained.empty() && explained.front()->cluster_id >= 0;
+          std::vector<KwModel::KernelTerm> terms;
+          const bool appended =
+              kw.AppendKernelTerms(layer, gpu.name, batch, &terms);
+          EXPECT_EQ(appended, kernel_wise);
+          if (kw.KernelsForLayer(layer).empty()) {
+            EXPECT_FALSE(appended);
+            ++unmapped_layers;
+          }
+          if (!appended) {
+            EXPECT_TRUE(terms.empty());
+            continue;
+          }
+          ++resolved_layers;
+          ASSERT_EQ(terms.size(), explained.size());
+          double sum = 0.0;
+          for (std::size_t k = 0; k < terms.size(); ++k) {
+            EXPECT_EQ(terms[k].cluster_id, explained[k]->cluster_id);
+            EXPECT_TRUE(BitEqual(terms[k].us, explained[k]->raw_us));
+            sum += terms[k].us;
+          }
+          EXPECT_TRUE(BitEqual(sum * kw.CalibrationFor(gpu.name),
+                               kw.PredictLayerUs(layer, gpu.name, batch)));
+        }
+        EXPECT_EQ(next, breakdown.terms.size());
+      }
+    }
+  }
+  EXPECT_GT(resolved_layers, 0);
+  EXPECT_GT(unmapped_layers, 0);
 }
 
 TEST(ExplainTest, ClusterAndTermSumsAgreeWithinRounding) {

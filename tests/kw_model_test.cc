@@ -1,11 +1,16 @@
 #include "models/kw_model.h"
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/stats.h"
 #include "dnn/builder.h"
 #include "gpuexec/lowering.h"
 #include "gpuexec/profiler.h"
+#include "models/igkw_model.h"
 #include "test_support.h"
 #include "zoo/zoo.h"
 
@@ -118,16 +123,53 @@ TEST_F(KwModelTest, CrossBatchPredictionHolds) {
   EXPECT_LT(RelativeError(predicted, measured), 0.30);
 }
 
+// Per-layer predictions and PredictUs are one emitter feeding one fold,
+// so the layer sum, taken in layer order, is the network prediction bit
+// for bit. The disaggregation, pipeline and multi-GPU benches schedule
+// with these per-layer predictions, IGKW's included.
 TEST_F(KwModelTest, LayerPredictionsAreNonNegativeAndSumUp) {
   const gpuexec::GpuSpec& a100 = gpuexec::GpuByName("A100");
-  dnn::Network net = zoo::BuildByName("googlenet");
-  double sum = 0;
-  for (const dnn::Layer& layer : net.layers()) {
-    const double t = model_->PredictLayerUs(layer, "A100", 128);
-    EXPECT_GE(t, 0.0) << layer.name;
-    sum += t;
+  IgkwModel igkw;
+  igkw.Train(SmallCampaign::Get().data(), SmallCampaign::Get().split(),
+             {"A100", "A40", "GTX 1080 Ti"});
+  const gpuexec::GpuSpec& titan = gpuexec::GpuByName("TITAN RTX");
+  const gpuexec::GpuSpec hypothetical = titan.WithBandwidth(1500);
+  // An unmapped layer: IGKW predicts it through the nearest training GPU.
+  dnn::NetworkBuilder b("exotic", "Test", dnn::Chw(37, 61, 61));
+  b.Conv(41, 13, 5, 1);
+  int hypothetical_fallback_layers = 0;
+  for (const dnn::Network& net : {zoo::BuildByName("googlenet"), b.Build()}) {
+    for (std::int64_t batch : {1, 16, 128}) {
+      SCOPED_TRACE(net.name() + " batch " + std::to_string(batch));
+      double sum = 0;
+      for (const dnn::Layer& layer : net.layers()) {
+        const double t = model_->PredictLayerUs(layer, "A100", batch);
+        EXPECT_GE(t, 0.0) << layer.name;
+        sum += t;
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(sum),
+                std::bit_cast<std::uint64_t>(
+                    model_->PredictUs(net, a100, batch)));
+      for (const gpuexec::GpuSpec* gpu : {&titan, &hypothetical}) {
+        double igkw_sum = 0;
+        for (const dnn::Layer& layer : net.layers()) {
+          const double t = igkw.PredictLayerUs(layer, *gpu, batch);
+          EXPECT_GE(t, 0.0) << layer.name;
+          igkw_sum += t;
+        }
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(igkw_sum),
+                  std::bit_cast<std::uint64_t>(
+                      igkw.PredictUs(net, *gpu, batch)))
+            << gpu->name;
+      }
+    }
+    // Fallback layers are the ones rescaled by a bandwidth ratio.
+    const PredictionPlan* plan = igkw.PlanFor(net, hypothetical);
+    for (std::size_t l = 0; l < plan->layer_count(); ++l) {
+      if (plan->layer_scale_b(l) != 1.0) ++hypothetical_fallback_layers;
+    }
   }
-  EXPECT_NEAR(model_->PredictUs(net, a100, 128), sum, 1e-6 * sum);
+  EXPECT_GT(hypothetical_fallback_layers, 0);
 }
 
 TEST_F(KwModelTest, UnknownLayerFallsBackGracefully) {

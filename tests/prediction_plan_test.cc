@@ -241,28 +241,6 @@ TEST(PredictionPlanTest, SharedSidMemoGivesSameResultsInEitherOrder) {
   EXPECT_GT(plans_first.fallback_layers, 0);
 }
 
-// The public per-layer entry point resolves each layer's signature
-// itself; layer by layer it must rebuild exactly the plan PlanFor
-// compiles from the memoized ids.
-TEST(PredictionPlanTest, CompileLayerIntoRebuildsPlanForBitwise) {
-  const FullGpuCampaign& campaign = FullGpuCampaign::Get();
-  const dnn::Network exotic = ExoticNetwork();
-  for (const dnn::Network* network : {&campaign.networks[0], &exotic}) {
-    for (const gpuexec::GpuSpec& gpu : gpuexec::AllGpus()) {
-      PredictionPlan rebuilt;
-      for (const dnn::Layer& layer : network->layers()) {
-        campaign.kw.CompileLayerInto(layer, gpu.name, 1.0, rebuilt);
-      }
-      const PredictionPlan* plan = campaign.kw.PlanFor(*network, gpu);
-      ASSERT_EQ(rebuilt.term_count(), plan->term_count());
-      for (std::int64_t batch : kBatches) {
-        EXPECT_TRUE(BitEqual(rebuilt.EvalUs(batch), plan->EvalUs(batch)))
-            << network->name() << " on " << gpu.name << " batch " << batch;
-      }
-    }
-  }
-}
-
 TEST(PredictionPlanTest, StackPredictManyMatchesTiersAndPredictUs) {
   const FullGpuCampaign& campaign = FullGpuCampaign::Get();
 

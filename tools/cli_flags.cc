@@ -17,6 +17,9 @@ constexpr Bound kNonNegative{0};
 constexpr Bound kPositive{0, true};
 constexpr Bound kUnit{0, false, 1};
 
+/** Every batch: positive and at most kMaxBatch. */
+constexpr Bound kBatch{0, true, static_cast<double>(kMaxBatch)};
+
 /** An integer row whose value lands in an `int` field. */
 constexpr Bound IntField(double min) { return {min, false, kIntMax}; }
 
@@ -76,7 +79,7 @@ std::vector<Command> BuildCommands() {
   const Flag pool = List("pool", "A,B", "A40,TITAN RTX,V100",
                          "comma-separated GPU pool");
   const Flag serving_batch =
-      Int("batch", "N", "16", kPositive, "per-request micro-batch size");
+      Int("batch", "N", "16", kBatch, "per-request micro-batch size");
   const Flag rate = Double("rate", "R", "80", kPositive,
                            "Poisson arrivals per second");
   const Flag seed =
@@ -136,7 +139,7 @@ std::vector<Command> BuildCommands() {
                         "output directory for the dataset CSVs")),
         List("gpus", "A,B", "",
              "comma-separated GPU names (default: all seven)"),
-        Int("batch", "N", "512", kPositive, "batch size to profile at"),
+        Int("batch", "N", "512", kBatch, "batch size to profile at"),
         Int("stride", "N", "1", IntField(1), "profile every N-th zoo network"),
         Bool("training", "profile the training workload instead of inference"),
         jobs}},
@@ -292,7 +295,7 @@ std::vector<Command> BuildCommands() {
              "canary probe networks"),
         List("gpus", "A,B", "",
              "canary probe GPUs (default: the candidate's trained GPUs)"),
-        Int("batch", "N", "16", kPositive, "canary batch size"),
+        Int("batch", "N", "16", kBatch, "canary batch size"),
         Double("tolerance", "F", "0.5", kNonNegative,
                "max relative drift vs the baseline, e.g. 0.5 = 50%")}},
       {"drift-report", "self-healing lifecycle report", "",
@@ -344,7 +347,7 @@ std::vector<Command> BuildCommands() {
         Required(String("network", "N", "", "zoo network name")),
         Required(String("gpu", "G", "",
                         "GPU name (run `gpuperf gpus` for the list)")),
-        Required(Int("batch", "B", "", kPositive, "batch size")),
+        Required(Int("batch", "B", "", kBatch, "batch size")),
         String("layer", "NAME", "",
                "also print the per-term breakdown of this layer"),
         Int("top", "K", "10", IntField(1), "rows in the per-layer table"),
@@ -450,6 +453,16 @@ const Flag* FindFlag(const Command& command, std::string_view name) {
 }
 
 }  // namespace
+
+StatusOr<long long> ParseBatch(const std::string& text) {
+  const Flag row = Int("batch", "N", "", kBatch, "");
+  const StatusOr<long long> parsed = ParseInt64(text);
+  if (!parsed.ok() || !InBound(kBatch, static_cast<double>(*parsed))) {
+    return InvalidArgumentError(Format("batch must be %s, got '%s'",
+                                       Describe(row).c_str(), text.c_str()));
+  }
+  return *parsed;
+}
 
 const std::vector<Command>& Commands() {
   static const std::vector<Command> commands = BuildCommands();

@@ -52,6 +52,21 @@ struct Command {
   std::vector<Flag> flags;
 };
 
+/**
+ * The largest batch any subcommand accepts, on every `--batch` row and
+ * every positional batch. Predictors and lowering multiply a batch by
+ * per-sample driver values and launch-grid sizes in int64; this bound
+ * keeps each such product over the zoo within int64 (pinned by
+ * `CliTest.BatchBoundKeepsZooProductsInInt64`).
+ */
+inline constexpr long long kMaxBatch = 1LL << 20;
+
+/**
+ * Parses a positional batch argument against the `--batch` rows' bound.
+ * The error message is the single usage line.
+ */
+StatusOr<long long> ParseBatch(const std::string& text);
+
 /** Every subcommand, in `gpuperf --help` order. */
 const std::vector<Command>& Commands();
 

@@ -214,10 +214,9 @@ int CmdRoofline(const Flags& flags) {
   }
   std::int64_t batch = 256;
   if (args.size() > 2) {
-    StatusOr<long long> parsed = ParseInt64(args[2]);
-    if (!parsed.ok() || *parsed < 1) {
-      return UsageError(flags.command(), "batch must be a positive integer, "
-                                         "got '" + args[2] + "'");
+    StatusOr<long long> parsed = cli::ParseBatch(args[2]);
+    if (!parsed.ok()) {
+      return UsageError(flags.command(), parsed.status().message());
     }
     batch = *parsed;
   }
@@ -277,10 +276,9 @@ int CmdPredict(const Flags& flags) {
     return UserError("unknown GPU '" + args[1] +
                      "' (run `gpuperf gpus` for the list)");
   }
-  StatusOr<long long> batch = ParseInt64(args[2]);
-  if (!batch.ok() || *batch < 1) {
-    return UsageError(flags.command(), "batch must be a positive integer, "
-                                       "got '" + args[2] + "'");
+  StatusOr<long long> batch = cli::ParseBatch(args[2]);
+  if (!batch.ok()) {
+    return UsageError(flags.command(), batch.status().message());
   }
   if (!kw->CoverageFor(*net, gpu->name).gpu_trained) {
     std::string trained;
