@@ -2,6 +2,7 @@
 // paper's core speed claim is that a trained KW model predicts in
 // microseconds-to-milliseconds where simulators need hours.
 
+#include <cstdint>
 #include <optional>
 
 #include <benchmark/benchmark.h>
@@ -184,27 +185,35 @@ void BM_LowerResnet50(benchmark::State& state) {
 }
 BENCHMARK(BM_LowerResnet50);
 
+// A fresh Profiler per iteration, as each CLI campaign starts with: a
+// Profiler reused across iterations would answer from its warm
+// expected-time memo.
 void BM_ProfileResnet50(benchmark::State& state) {
   const Fixture& fixture = Fixture::Get();
   const gpuexec::HardwareOracle oracle{gpuexec::OracleConfig()};
-  const gpuexec::Profiler profiler(oracle);
   const gpuexec::GpuSpec& a100 = gpuexec::GpuByName("A100");
   for (auto _ : state) {
+    const gpuexec::Profiler profiler(oracle);
     benchmark::DoNotOptimize(
         profiler.MeasureE2eUs(fixture.resnet50, a100, 256));
   }
 }
 BENCHMARK(BM_ProfileResnet50)->Unit(benchmark::kMillisecond);
 
+// Items are kernel rows, so perf_gate.sh reads ns per profiled kernel.
 void BM_BuildDatasetSerial(benchmark::State& state) {
   const Fixture& fixture = Fixture::Get();
   dataset::BuildOptions options;
   options.gpu_names = {"A100"};
   options.jobs = 1;
+  std::int64_t rows = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        dataset::BuildDataset(fixture.networks, options));
+    const dataset::Dataset data =
+        dataset::BuildDataset(fixture.networks, options);
+    rows += static_cast<std::int64_t>(data.kernel_rows().size());
+    benchmark::DoNotOptimize(data);
   }
+  state.SetItemsProcessed(rows);
 }
 BENCHMARK(BM_BuildDatasetSerial)->Unit(benchmark::kMillisecond);
 

@@ -1,12 +1,17 @@
 #!/usr/bin/env bash
-# Perf regression gate on the predictor hot paths: runs every
-# microbenchmark named in bench/perf_gate_baseline.txt in a Release
-# build and fails when one's amortized cost exceeds 2x its checked-in
-# baseline. The rows are
+# Perf regression gate on the predictor and profiling hot paths: runs
+# every microbenchmark named in bench/perf_gate_baseline.txt in a Release
+# build and fails when one's amortized cost per item (a query, or a
+# kernel row; printed as ns/query) exceeds 2x its checked-in baseline.
+# The rows are
 #   BM_PredictManyResnet50      512 queries answered by one
 #                               compiled-plan PredictMany sweep;
 #   BM_KwPredictResnet50Cached  one per-query PredictUs with the sid
-#                               memo warm.
+#                               memo warm;
+#   BM_BuildDatasetSerial       one kernel row of a serial BuildDataset
+#                               (41 networks on A100): lowering-cache
+#                               lookups, the oracle's expected-time
+#                               memo, the noisy replay and the merge.
 #
 # The baselines are deliberately loose — a regression tripwire for
 # "someone put a hash lookup / allocation back into the per-query loop"

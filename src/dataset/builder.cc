@@ -69,12 +69,19 @@ void AppendProfiles(const std::vector<dnn::Network>& networks,
   // Interning happens only here, so the id pools and row order are byte
   // for byte those of a jobs=1 build. GPU names are interned even when
   // every network was skipped, matching the historical serial loop.
+  // A network's layer signatures repeat on every GPU, so each (network,
+  // layer) is signed and interned on first use only; that first use is
+  // the row where the serial loop interned it, so the pool is unchanged.
+  std::vector<std::vector<int>> signature_ids(networks.size());
   std::size_t next = 0;
   for (std::size_t g = 0; g < gpus.size(); ++g) {
     const int gpu_id = dataset->gpus().Intern(gpus[g].name);
     for (; next < items.size() && items[next].gpu_index == g; ++next) {
-      const dnn::Network& network = networks[items[next].network_index];
+      const std::size_t n = items[next].network_index;
+      const dnn::Network& network = networks[n];
       const gpuexec::NetworkProfile& profile = profiles[next];
+      std::vector<int>& layer_ids = signature_ids[n];
+      if (layer_ids.empty()) layer_ids.assign(network.layers().size(), -1);
       const int network_id = dataset->networks().Intern(network.name());
 
       NetworkRow net_row;
@@ -92,8 +99,12 @@ void AppendProfiles(const std::vector<dnn::Network>& networks,
         row.gpu_id = gpu_id;
         row.network_id = network_id;
         row.kernel_id = dataset->kernels().Intern(record.kernel_name);
-        row.signature_id = dataset->signatures().Intern(
-            dnn::LayerSignature(network.layers()[record.layer_index]));
+        int& signature_id = layer_ids[record.layer_index];
+        if (signature_id < 0) {
+          signature_id = dataset->signatures().Intern(
+              dnn::LayerSignature(network.layers()[record.layer_index]));
+        }
+        row.signature_id = signature_id;
         row.layer_index = record.layer_index;
         row.layer_kind = record.layer_kind;
         row.true_driver = record.true_driver;

@@ -25,6 +25,12 @@ struct GpuSpec {
   int sm_count = 0;            // streaming multiprocessors
   double launch_interval_us = 12.0;  // CPU-side per-kernel issue gap
 
+  /**
+   * Field-wise equality. Specs derived with WithBandwidth keep their
+   * name, so only the whole spec identifies the hardware a time is for.
+   */
+  bool operator==(const GpuSpec&) const = default;
+
   /** Peak FP32 throughput in FLOP/s. */
   double PeakFlops() const { return fp32_tflops * 1e12; }
 

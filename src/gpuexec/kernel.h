@@ -39,6 +39,10 @@ enum class KernelFamily {
   kGather,            // embedding lookups
 };
 
+/** Number of KernelFamily values (dense tables index by family). */
+inline constexpr int kKernelFamilyCount =
+    static_cast<int>(KernelFamily::kGather) + 1;
+
 /** Human-readable family name. */
 std::string KernelFamilyName(KernelFamily family);
 

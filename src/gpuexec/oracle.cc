@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
+#include <iterator>
+#include <string>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.h"
@@ -127,6 +129,7 @@ const FamilyProfile& ProfileFor(KernelFamily family) {
       /* kCopy */              {0.30, 0.80, 16},
       /* kGather */            {0.25, 0.60, 16},
   };
+  static_assert(std::size(kProfiles) == kKernelFamilyCount);
   return kProfiles[static_cast<int>(family)];
 }
 
@@ -152,15 +155,41 @@ double HardwareOracle::OccupancySlowdown(std::int64_t blocks, int sm_count,
   return std::pow(capacity / b, exponent);
 }
 
+double HardwareOracle::ComputeArchFactor(const std::string& gpu_name,
+                                         KernelFamily family) const {
+  return KeyedLogNormal(config_.seed,
+                        gpu_name + "/" + KernelFamilyName(family) + "/c",
+                        config_.compute_arch_sigma);
+}
+
+double HardwareOracle::MemoryArchFactor(const std::string& gpu_name,
+                                        KernelFamily family) const {
+  return KeyedLogNormal(config_.seed,
+                        gpu_name + "/" + KernelFamilyName(family) + "/m",
+                        config_.memory_arch_sigma);
+}
+
+double HardwareOracle::KernelQuirkFactor(
+    const std::string& gpu_name, const std::string& kernel_name) const {
+  return KeyedLogNormal(config_.seed, gpu_name + "/" + kernel_name + "/q",
+                        config_.kernel_quirk_sigma);
+}
+
 double HardwareOracle::ExpectedKernelTimeUs(const KernelLaunch& launch,
                                             const GpuSpec& gpu) const {
-  const FamilyProfile& profile = ProfileFor(launch.family);
-  const std::string family_name = KernelFamilyName(launch.family);
+  return ExpectedKernelTimeUs(
+      launch, gpu,
+      {ComputeArchFactor(gpu.name, launch.family),
+       MemoryArchFactor(gpu.name, launch.family),
+       KernelQuirkFactor(gpu.name, launch.name)});
+}
 
-  double compute_eff =
-      profile.compute_eff *
-      KeyedLogNormal(config_.seed, gpu.name + "/" + family_name + "/c",
-                     config_.compute_arch_sigma);
+double HardwareOracle::ExpectedKernelTimeUs(
+    const KernelLaunch& launch, const GpuSpec& gpu,
+    const KernelFactors& factors) const {
+  const FamilyProfile& profile = ProfileFor(launch.family);
+
+  double compute_eff = profile.compute_eff * factors.compute_arch;
   const bool gemm_like = launch.family == KernelFamily::kGemm ||
                          launch.family == KernelFamily::kImplicitGemm ||
                          launch.family == KernelFamily::kWinogradGemm ||
@@ -181,10 +210,7 @@ double HardwareOracle::ExpectedKernelTimeUs(const KernelLaunch& launch,
   }
   compute_eff = std::min(compute_eff, 0.92);
 
-  double memory_eff =
-      profile.memory_eff *
-      KeyedLogNormal(config_.seed, gpu.name + "/" + family_name + "/m",
-                     config_.memory_arch_sigma);
+  double memory_eff = profile.memory_eff * factors.memory_arch;
   memory_eff = std::min(memory_eff, 0.95);
 
   // Sustainable FLOPS: the lesser of the theoretical peak and the
@@ -206,8 +232,7 @@ double HardwareOracle::ExpectedKernelTimeUs(const KernelLaunch& launch,
   base_us *= OccupancySlowdown(launch.blocks, gpu.sm_count,
                                profile.blocks_per_sm);
   // Static implementation quirk of this kernel build on this GPU.
-  base_us /= KeyedLogNormal(config_.seed, gpu.name + "/" + launch.name + "/q",
-                            config_.kernel_quirk_sigma);
+  base_us /= factors.quirk;
   // Per-layer-configuration quirk: cache behaviour, tile fragmentation,
   // and layout effects depend on the (per-image) problem shape in ways no
   // layer-level feature captures. Keyed on per-image quantities so the
@@ -221,10 +246,17 @@ double HardwareOracle::ExpectedKernelTimeUs(const KernelLaunch& launch,
   const long per_image_flops = static_cast<long>(launch.layer_flops /
                                                  std::max<std::int64_t>(
                                                      1, launch.batch));
-  char layer_key[160];
-  std::snprintf(layer_key, sizeof(layer_key), "%s/%s/L%ld-%ld-%ld",
-                gpu.name.c_str(), launch.name.c_str(), per_image_in,
-                per_image_out, per_image_flops);
+  // "<gpu>/<kernel>/L<in>-<out>-<flops>", formatted without a format-
+  // string parse; the draws are pinned to the first 159 characters, the
+  // part of the key an snprintf into 160 bytes keeps.
+  std::string layer_key;
+  layer_key.reserve(gpu.name.size() + launch.name.size() + 64);
+  layer_key.append(gpu.name).append("/").append(launch.name).append("/L");
+  AppendInt(layer_key, per_image_in);
+  layer_key += '-';
+  AppendInt(layer_key, per_image_out);
+  layer_key += '-';
+  AppendInt(layer_key, per_image_flops);
   // Shape sensitivity differs by kernel sophistication: plain dense GEMM
   // (cuBLAS-style) is the best-characterized kernel on a GPU, and simple
   // streaming kernels (activations, norms, copies) are nearly
@@ -244,7 +276,8 @@ double HardwareOracle::ExpectedKernelTimeUs(const KernelLaunch& launch,
              launch.family == KernelFamily::kGather) {
     shape_factor = 0.45;
   }
-  base_us /= KeyedLogNormal(config_.seed, layer_key,
+  base_us /= KeyedLogNormal(config_.seed,
+                            std::string_view(layer_key).substr(0, 159),
                             shape_factor * config_.layer_quirk_sigma);
   return config_.kernel_overhead_us + base_us;
 }

@@ -26,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -152,7 +153,21 @@ class DriftSchedule {
   std::vector<std::vector<DriftEvent>> events_;  // per resource, by at_us
 };
 
-/** The synthetic GPU. Copyable; all state is configuration. */
+/**
+ * The static keyed factors ExpectedKernelTimeUs draws for one launch.
+ * They depend only on (GPU name, family) and (GPU name, kernel name), so
+ * a caller that evaluates many launches on one GPU can draw each once.
+ */
+struct KernelFactors {
+  double compute_arch = 1;  // per (GPU, family) compute-efficiency spread
+  double memory_arch = 1;   // per (GPU, family) memory-efficiency spread
+  double quirk = 1;         // per (GPU, kernel name) implementation quirk
+};
+
+/**
+ * The synthetic GPU. Copyable; all state is configuration, and every
+ * method is a pure function of its arguments and that configuration.
+ */
 class HardwareOracle {
  public:
   explicit HardwareOracle(const OracleConfig& config = OracleConfig());
@@ -160,6 +175,26 @@ class HardwareOracle {
   /** Noise-free expected duration of `launch` on `gpu`, microseconds. */
   double ExpectedKernelTimeUs(const KernelLaunch& launch,
                               const GpuSpec& gpu) const;
+
+  /**
+   * The same duration from caller-supplied keyed factors; equal bit for
+   * bit to the two-argument form when `factors` holds the values of the
+   * three factor functions below for this launch and GPU.
+   */
+  double ExpectedKernelTimeUs(const KernelLaunch& launch, const GpuSpec& gpu,
+                              const KernelFactors& factors) const;
+
+  /** Architecture factor on a family's compute efficiency on a GPU. */
+  double ComputeArchFactor(const std::string& gpu_name,
+                           KernelFamily family) const;
+
+  /** Architecture factor on a family's memory efficiency on a GPU. */
+  double MemoryArchFactor(const std::string& gpu_name,
+                          KernelFamily family) const;
+
+  /** Speed factor of one kernel implementation on a GPU. */
+  double KernelQuirkFactor(const std::string& gpu_name,
+                           const std::string& kernel_name) const;
 
   /** One noisy measurement; `rng` supplies the measurement noise stream. */
   double MeasureKernelTimeUs(const KernelLaunch& launch, const GpuSpec& gpu,

@@ -1,9 +1,14 @@
 #include "gpuexec/profiler.h"
 
 #include <algorithm>
+#include <memory>
+#include <string>
+#include <unordered_map>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/random.h"
+#include "common/synchronization.h"
 #include "dnn/flops.h"
 #include "gpuexec/lowering.h"
 #include "gpuexec/lowering_cache.h"
@@ -37,7 +42,140 @@ double WallFactor(const HardwareOracle& oracle, const std::string& network,
                         oracle.config().wall_overhead_sigma);
 }
 
+using LaunchListPtr = std::shared_ptr<const LoweringCache::LaunchList>;
+
+/**
+ * The expected kernel times of one exact GpuSpec: the oracle's per-family
+ * architecture factors drawn once up front, each kernel name's quirk
+ * drawn on first use, and each launch list's times evaluated on first
+ * use. Entries are immutable once inserted and live as long as the memo.
+ */
+class GpuTimes {
+ public:
+  GpuTimes(const HardwareOracle& oracle, const GpuSpec& gpu) : gpu_(gpu) {
+    for (int f = 0; f < kKernelFamilyCount; ++f) {
+      const auto family = static_cast<KernelFamily>(f);
+      compute_arch_[f] = oracle.ComputeArchFactor(gpu.name, family);
+      memory_arch_[f] = oracle.MemoryArchFactor(gpu.name, family);
+    }
+  }
+
+  const GpuSpec& gpu() const { return gpu_; }
+
+  /** The expected time of every launch of `lowered`, in order. */
+  std::vector<double> ExpectedTimes(const HardwareOracle& oracle,
+                                    const std::vector<LaunchListPtr>& lowered) {
+    std::vector<const std::vector<double>*> times(lowered.size());
+    std::vector<std::size_t> missing;
+    {
+      SharedReaderLock lock(mu_);
+      for (std::size_t i = 0; i < lowered.size(); ++i) {
+        auto it = lists_.find(lowered[i].get());
+        if (it == lists_.end()) {
+          missing.push_back(i);
+        } else {
+          times[i] = &it->second.times_us;
+        }
+      }
+    }
+    if (!missing.empty()) {
+      // Evaluate misses outside the lock, then insert keeping the first
+      // entry, as LoweringCache::Lower does; every thread computes the
+      // same values, so which one wins does not matter.
+      std::vector<Entry> computed;
+      computed.reserve(missing.size());
+      for (std::size_t i : missing) {
+        Entry entry{lowered[i], {}};
+        entry.times_us.reserve(lowered[i]->size());
+        for (const KernelLaunch& launch : *lowered[i]) {
+          const int f = static_cast<int>(launch.family);
+          entry.times_us.push_back(oracle.ExpectedKernelTimeUs(
+              launch, gpu_,
+              {compute_arch_[f], memory_arch_[f], Quirk(oracle, launch.name)}));
+        }
+        computed.push_back(std::move(entry));
+      }
+      SharedMutexLock lock(mu_);
+      for (std::size_t k = 0; k < missing.size(); ++k) {
+        const std::size_t i = missing[k];
+        times[i] = &lists_.try_emplace(lowered[i].get(), std::move(computed[k]))
+                        .first->second.times_us;
+      }
+    }
+    std::vector<double> expected;
+    for (const std::vector<double>* list : times) {
+      expected.insert(expected.end(), list->begin(), list->end());
+    }
+    return expected;
+  }
+
+ private:
+  /** A launch list's expected times; `launches` pins the key's address. */
+  struct Entry {
+    LaunchListPtr launches;
+    std::vector<double> times_us;
+  };
+
+  double Quirk(const HardwareOracle& oracle, const std::string& kernel_name) {
+    {
+      SharedReaderLock lock(mu_);
+      auto it = quirks_.find(kernel_name);
+      if (it != quirks_.end()) return it->second;
+    }
+    const double quirk = oracle.KernelQuirkFactor(gpu_.name, kernel_name);
+    SharedMutexLock lock(mu_);
+    return quirks_.try_emplace(kernel_name, quirk).first->second;
+  }
+
+  const GpuSpec gpu_;
+  double compute_arch_[kKernelFamilyCount] = {};
+  double memory_arch_[kKernelFamilyCount] = {};
+  SharedMutex mu_;
+  std::unordered_map<const LoweringCache::LaunchList*, Entry> lists_
+      GP_GUARDED_BY(mu_);
+  std::unordered_map<std::string, double> quirks_ GP_GUARDED_BY(mu_);
+};
+
 }  // namespace
+
+/**
+ * A Profiler's expected-time memo: one GpuTimes per distinct GpuSpec.
+ * The whole spec is the key, since a WithBandwidth spec keeps its name.
+ * Keying lists on their address is safe because every entry holds the
+ * list it was computed from, so the address cannot be reused for another
+ * list — even after LoweringCache::Clear() — while the memo lives.
+ */
+class Profiler::ExpectedTimeMemo {
+ public:
+  explicit ExpectedTimeMemo(const HardwareOracle& oracle) : oracle_(oracle) {}
+
+  /** Expected times of every launch of `lowered` on `gpu`, in order. */
+  std::vector<double> ExpectedTimes(const GpuSpec& gpu,
+                                    const std::vector<LaunchListPtr>& lowered) {
+    return ForGpu(gpu).ExpectedTimes(oracle_, lowered);
+  }
+
+ private:
+  GpuTimes& ForGpu(const GpuSpec& gpu) {
+    {
+      SharedReaderLock lock(mu_);
+      for (const std::unique_ptr<GpuTimes>& times : gpus_) {
+        if (times->gpu() == gpu) return *times;
+      }
+    }
+    auto fresh = std::make_unique<GpuTimes>(oracle_, gpu);
+    SharedMutexLock lock(mu_);
+    for (const std::unique_ptr<GpuTimes>& times : gpus_) {
+      if (times->gpu() == gpu) return *times;
+    }
+    gpus_.push_back(std::move(fresh));
+    return *gpus_.back();
+  }
+
+  const HardwareOracle oracle_;
+  SharedMutex mu_;
+  std::vector<std::unique_ptr<GpuTimes>> gpus_ GP_GUARDED_BY(mu_);
+};
 
 std::vector<double> NetworkProfile::LayerTimesUs(
     std::size_t layer_count) const {
@@ -50,7 +188,9 @@ std::vector<double> NetworkProfile::LayerTimesUs(
 }
 
 Profiler::Profiler(const HardwareOracle& oracle, int measured_batches)
-    : oracle_(oracle), measured_batches_(measured_batches) {
+    : oracle_(oracle),
+      measured_batches_(measured_batches),
+      memo_(std::make_shared<ExpectedTimeMemo>(oracle)) {
   GP_CHECK_GT(measured_batches, 0);
 }
 
@@ -67,19 +207,19 @@ NetworkProfile Profiler::Profile(const dnn::Network& network,
   // Lowering is memoized process-wide: zoo networks repeat layer
   // configurations heavily, and a parallel campaign profiles from many
   // threads against the same shared cache.
-  const std::vector<std::shared_ptr<const LoweringCache::LaunchList>>
-      lowered = CachedLowerNetworkWorkload(network, batch, workload);
+  const std::vector<LaunchListPtr> lowered =
+      CachedLowerNetworkWorkload(network, batch, workload);
 
-  // Pay the deterministic oracle cost once per kernel; replay with noise.
-  // Records stay grouped per layer (the mapping table relies on it); the
-  // timeline replays them in true execution order (forward, then, for
-  // training steps, backward in reverse layer order).
-  std::vector<double> expected;
+  // Pay the deterministic oracle cost once per distinct launch list and
+  // GPU (the memo); replay with noise. Records stay grouped per layer
+  // (the mapping table relies on it); the timeline replays them in true
+  // execution order (forward, then, for training steps, backward in
+  // reverse layer order).
+  const std::vector<double> expected = memo_->ExpectedTimes(gpu, lowered);
   std::vector<std::size_t> flat_base(lowered.size());
   for (std::size_t layer = 0; layer < lowered.size(); ++layer) {
     flat_base[layer] = profile.kernels.size();
     for (const KernelLaunch& launch : *lowered[layer]) {
-      expected.push_back(oracle_.ExpectedKernelTimeUs(launch, gpu));
       KernelRecord record;
       record.kernel_name = launch.name;
       record.family = launch.family;

@@ -15,6 +15,7 @@
  */
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -58,7 +59,16 @@ struct NetworkProfile {
   std::vector<double> LayerTimesUs(std::size_t layer_count) const;
 };
 
-/** Profiles networks against a HardwareOracle. */
+/**
+ * Profiles networks against a HardwareOracle.
+ *
+ * Besides its configuration, a Profiler owns a memo of the oracle's
+ * noise-free expected kernel times per (cached launch list, GpuSpec), so
+ * a campaign pays the oracle formula once per distinct launch rather than
+ * once per occurrence. Copies share the memo, it is freed with the last
+ * copy, and it is thread-safe: one Profiler may serve a whole parallel
+ * campaign. Profiles are bit-identical to an unmemoized evaluation.
+ */
 class Profiler {
  public:
   explicit Profiler(const HardwareOracle& oracle, int measured_batches = 30);
@@ -74,8 +84,11 @@ class Profiler {
                       Workload workload = Workload::kInference) const;
 
  private:
+  class ExpectedTimeMemo;
+
   HardwareOracle oracle_;
   int measured_batches_;
+  std::shared_ptr<ExpectedTimeMemo> memo_;  // shared by copies
 };
 
 /** Achieved-vs-theoretical efficiency estimated from layer shapes (Fig 9). */

@@ -1,6 +1,7 @@
 #include "gpuexec/oracle.h"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -37,6 +38,26 @@ TEST(OracleTest, ExpectedTimeIsDeterministic) {
   const GpuSpec& a100 = GpuByName("A100");
   EXPECT_DOUBLE_EQ(oracle.ExpectedKernelTimeUs(launch, a100),
                    oracle.ExpectedKernelTimeUs(launch, a100));
+}
+
+TEST(OracleTest, LayerQuirkKeyKeepsItsFirst159Characters) {
+  // The per-layer quirk is keyed on "<gpu>/<kernel>/L<shape>" cut after
+  // 159 characters (the pinned snprintf-into-160-bytes key): kernel names
+  // that differ only past the cut share the layer quirk, names that
+  // differ before it do not. The kernel-name quirk is held fixed here.
+  HardwareOracle oracle;
+  const GpuSpec& gpu = GpuByName("A100");
+  KernelLaunch base =
+      MakeLaunch(KernelFamily::kImplicitGemm, 1'000'000'000, 10'000'000, 5000);
+  base.name = std::string(200, 'k');
+  KernelLaunch late = base;
+  late.name[190] = 'x';
+  KernelLaunch early = base;
+  early.name[100] = 'x';
+  const KernelFactors factors{1.0, 1.0, 1.0};
+  const double at_base = oracle.ExpectedKernelTimeUs(base, gpu, factors);
+  EXPECT_EQ(oracle.ExpectedKernelTimeUs(late, gpu, factors), at_base);
+  EXPECT_NE(oracle.ExpectedKernelTimeUs(early, gpu, factors), at_base);
 }
 
 TEST(OracleTest, TimeIncludesFixedOverhead) {

@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
+#include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "dnn/flops.h"
 #include "gpuexec/lowering.h"
+#include "gpuexec/lowering_cache.h"
 #include "zoo/zoo.h"
 
 namespace gpuperf::gpuexec {
@@ -131,6 +140,179 @@ TEST_F(ProfilerTest, FasterGpuRunsFaster) {
   const double on_p620 =
       profiler_.MeasureE2eUs(net_, GpuByName("Quadro P620"), 256);
   EXPECT_GT(on_p620, 3 * on_a100);
+}
+
+/** Folds the bit pattern of `value` into `digest`. */
+std::uint64_t Fold(std::uint64_t digest, double value) {
+  return HashCombine(digest, std::bit_cast<std::uint64_t>(value));
+}
+
+/**
+ * Order-sensitive digest of every timing a profile reports: the e2e
+ * time, then each kernel's averaged duration and first-batch timeline.
+ */
+std::uint64_t TimingDigest(const NetworkProfile& profile) {
+  std::uint64_t digest = Fold(0, profile.e2e_time_us);
+  for (const KernelRecord& record : profile.kernels) {
+    digest = Fold(digest, record.time_us);
+    digest = Fold(digest, record.start_us);
+    digest = Fold(digest, record.end_us);
+  }
+  return digest;
+}
+
+/** One pinned row: a sweep of networks on one GPU at one batch. */
+struct GoldenRow {
+  const char* label;
+  std::uint64_t digest;  // TimingDigest folded over the sweep, in order
+  double e2e_sum_us;     // sum of the sweep's e2e times
+};
+
+/** Digest and e2e sum of `networks` profiled on `gpu`, in order. */
+GoldenRow Sweep(const Profiler& profiler,
+                const std::vector<dnn::Network>& networks,
+                const GpuSpec& gpu, std::int64_t batch, Workload workload) {
+  GoldenRow row{"", 0, 0.0};
+  for (const dnn::Network& network : networks) {
+    const NetworkProfile profile =
+        profiler.Profile(network, gpu, batch, workload);
+    row.digest = HashCombine(row.digest, TimingDigest(profile));
+    row.e2e_sum_us += profile.e2e_time_us;
+  }
+  return row;
+}
+
+TEST_F(ProfilerTest, MatchesParentGolden) {
+  // Pinned from the unmemoized profiler, which evaluated the oracle
+  // formula (and drew every keyed factor) once per launch: the expected-
+  // time memo and the per-GPU factor tables must reproduce those times
+  // bit for bit, including on a bandwidth-modified spec that keeps its
+  // stock name (case study 1) and on a training step.
+  static constexpr GoldenRow kGolden[] = {
+      {"A100", 0xb1949947246bec59ULL, 0x1.a3505ce021091p+23},
+      {"A40", 0x56d01f10c7b7cdc1ULL, 0x1.6784c4279d917p+24},
+      {"GTX 1080 Ti", 0x13b2a0adfbc5edb7ULL, 0x1.e455cc65221a1p+24},
+      {"Quadro P620", 0x4972883797673d63ULL, 0x1.61ddaadaa7995p+27},
+      {"RTX A5000", 0x5102456b27e08dc3ULL, 0x1.4ef251c78a6b9p+24},
+      {"TITAN RTX", 0x53d77f8b2290a664ULL, 0x1.5c536c49b3512p+24},
+      {"V100", 0x6f8e582428ecce8bULL, 0x1.15a4d6c336d34p+24},
+      {"V100 training", 0x5ceac1f44e01aa17ULL, 0x1.148794b5d8769p+20},
+      {"TITAN RTX @1344", 0xb6457e78cae0861eULL, 0x1.cebe4cdced8f2p+23},
+  };
+  const HardwareOracle oracle;
+  const Profiler profiler(oracle);
+  const std::vector<dnn::Network> networks = zoo::SmallZoo(16);
+  const std::vector<dnn::Network> training(networks.begin(),
+                                           networks.begin() + 8);
+  std::vector<GoldenRow> rows;
+  for (const GpuSpec& gpu : AllGpus()) {
+    rows.push_back(Sweep(profiler, networks, gpu, 256, Workload::kInference));
+  }
+  rows.push_back(Sweep(profiler, training, GpuByName("V100"), 32,
+                       Workload::kTraining));
+  rows.push_back(Sweep(profiler, networks,
+                       GpuByName("TITAN RTX").WithBandwidth(1344), 256,
+                       Workload::kInference));
+  ASSERT_EQ(rows.size(), std::size(kGolden));
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].digest, kGolden[i].digest)
+        << Format("{\"%s\", 0x%llxULL, %a},", kGolden[i].label,
+                  static_cast<unsigned long long>(rows[i].digest),
+                  rows[i].e2e_sum_us);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rows[i].e2e_sum_us),
+              std::bit_cast<std::uint64_t>(kGolden[i].e2e_sum_us))
+        << kGolden[i].label;
+  }
+}
+
+/** Bitwise equality of two profiles' identity, kernels and timings. */
+void ExpectSameProfile(const NetworkProfile& a, const NetworkProfile& b) {
+  EXPECT_EQ(a.network_name, b.network_name);
+  EXPECT_EQ(a.gpu_name, b.gpu_name);
+  EXPECT_EQ(a.batch, b.batch);
+  EXPECT_EQ(a.total_flops, b.total_flops);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.gpu_busy_us),
+            std::bit_cast<std::uint64_t>(b.gpu_busy_us));
+  EXPECT_EQ(TimingDigest(a), TimingDigest(b))
+      << a.network_name << " on " << a.gpu_name;
+  ASSERT_EQ(a.kernels.size(), b.kernels.size());
+  for (std::size_t i = 0; i < a.kernels.size(); ++i) {
+    EXPECT_EQ(a.kernels[i].kernel_name, b.kernels[i].kernel_name);
+    EXPECT_EQ(a.kernels[i].layer_index, b.kernels[i].layer_index);
+  }
+}
+
+/** One Profile call of the shared-profiler sweep. */
+struct SweepItem {
+  const dnn::Network* network;
+  GpuSpec gpu;
+  Workload workload;
+};
+
+/**
+ * The same networks on a stock GPU, its bandwidth-modified twin (same
+ * name, different spec) and a MIG slice: a memo keyed on anything less
+ * than the whole GpuSpec hands one of them another's times.
+ */
+std::vector<SweepItem> SharedSweep(const std::vector<dnn::Network>& networks) {
+  const GpuSpec& titan = GpuByName("TITAN RTX");
+  std::vector<SweepItem> items;
+  for (const GpuSpec& gpu :
+       {titan, titan.WithBandwidth(1344), titan.MigSlice(3, 7)}) {
+    for (const dnn::Network& network : networks) {
+      items.push_back({&network, gpu, Workload::kInference});
+    }
+    items.push_back({&networks.front(), gpu, Workload::kTraining});
+  }
+  return items;
+}
+
+NetworkProfile FreshProfile(const HardwareOracle& oracle,
+                            const SweepItem& item) {
+  return Profiler(oracle).Profile(*item.network, item.gpu, 64, item.workload);
+}
+
+TEST_F(ProfilerTest, SharedProfilerMatchesFreshProfilers) {
+  const HardwareOracle oracle;
+  const Profiler shared(oracle);
+  const Profiler copy = shared;  // copies share one memo
+  const std::vector<dnn::Network> networks = zoo::SmallZoo(64);
+  const std::vector<SweepItem> items = SharedSweep(networks);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      const SweepItem& item = items[i];
+      const Profiler& profiler = i % 2 == 0 ? shared : copy;
+      ExpectSameProfile(
+          profiler.Profile(*item.network, item.gpu, 64, item.workload),
+          FreshProfile(oracle, item));
+    }
+    // New launch lists for the same layers; the memo must not confuse
+    // them with the (pinned) lists of the first pass.
+    LoweringCache::Global().Clear();
+  }
+}
+
+TEST_F(ProfilerTest, ConcurrentSharedProfilerMatchesFreshProfilers) {
+  const HardwareOracle oracle;
+  const Profiler shared(oracle);
+  const std::vector<dnn::Network> networks = zoo::SmallZoo(64);
+  const std::vector<SweepItem> items = SharedSweep(networks);
+  std::vector<NetworkProfile> expected;
+  for (const SweepItem& item : items) {
+    expected.push_back(FreshProfile(oracle, item));
+  }
+  ThreadPool pool(4);
+  for (int pass = 0; pass < 2; ++pass) {
+    std::vector<NetworkProfile> got(items.size());
+    pool.ParallelFor(items.size(), [&](std::size_t i) {
+      got[i] = shared.Profile(*items[i].network, items[i].gpu, 64,
+                              items[i].workload);
+    });
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      ExpectSameProfile(got[i], expected[i]);
+    }
+    LoweringCache::Global().Clear();
+  }
 }
 
 TEST(ProfilerDeathTest, ZeroMeasuredBatchesIsError) {
