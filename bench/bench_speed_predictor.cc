@@ -167,6 +167,7 @@ void BM_PredictorStackFallback(benchmark::State& state) {
 }
 BENCHMARK(BM_PredictorStackFallback);
 
+// Items are kernel rows, so perf_gate.sh reads ns per trained row.
 void BM_KwTrain(benchmark::State& state) {
   const Fixture& fixture = Fixture::Get();
   for (auto _ : state) {
@@ -174,6 +175,9 @@ void BM_KwTrain(benchmark::State& state) {
     model.Train(fixture.data, fixture.split);
     benchmark::DoNotOptimize(model);
   }
+  state.SetItemsProcessed(
+      state.iterations() *
+      static_cast<std::int64_t>(fixture.data.kernel_rows().size()));
 }
 BENCHMARK(BM_KwTrain)->Unit(benchmark::kMillisecond);
 

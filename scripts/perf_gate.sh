@@ -11,7 +11,12 @@
 #   BM_BuildDatasetSerial       one kernel row of a serial BuildDataset
 #                               (41 networks on A100): lowering-cache
 #                               lookups, the oracle's expected-time
-#                               memo, the noisy replay and the merge.
+#                               memo, the noisy replay and the merge;
+#   BM_KwTrain                  one kernel row of a KwModel fit on the
+#                               A100 dataset: mapping table, samples,
+#                               driver classification, clustering, LW
+#                               fallback, calibration and table
+#                               resolution.
 #
 # The baselines are deliberately loose — a regression tripwire for
 # "someone put a hash lookup / allocation back into the per-query loop"

@@ -234,6 +234,14 @@ bool NetworkSplit::IsTest(int network_id) const {
   return std::binary_search(test_ids.begin(), test_ids.end(), network_id);
 }
 
+std::vector<char> NetworkSplit::TestMask(int network_count) const {
+  std::vector<char> mask(network_count, 0);
+  for (int id : test_ids) {
+    if (id >= 0 && id < network_count) mask[id] = 1;
+  }
+  return mask;
+}
+
 NetworkSplit SplitByNetwork(const Dataset& dataset, double test_fraction,
                             std::uint64_t seed) {
   GP_CHECK_GT(test_fraction, 0.0);

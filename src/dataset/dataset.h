@@ -122,6 +122,9 @@ struct NetworkSplit {
 
   /** True if `network_id` is in the test partition. */
   bool IsTest(int network_id) const;
+
+  /** IsTest of every id in [0, `network_count`), one byte per id. */
+  std::vector<char> TestMask(int network_count) const;
 };
 
 /** Splits the dataset's networks; `test_fraction` in (0, 1). */

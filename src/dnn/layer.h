@@ -41,8 +41,12 @@ enum class LayerKind {
   kEmbedding,
   kMatMul,
   kChannelShuffle,
-  kDropout,
+  kDropout,  // keep last: kLayerKindCount counts through it
 };
+
+/** Number of LayerKind values (for dense per-kind tables). */
+inline constexpr int kLayerKindCount =
+    static_cast<int>(LayerKind::kDropout) + 1;
 
 /** Human-readable layer-kind name, e.g. "CONV", "FC", "BN". */
 std::string LayerKindName(LayerKind kind);

@@ -43,11 +43,7 @@ void CpuAwareModel::Train(const KwModel& kw, const dataset::Dataset& data,
 
 std::int64_t CpuAwareModel::PredictKernelCount(
     const dnn::Network& network) const {
-  std::int64_t count = 0;
-  for (const dnn::Layer& layer : network.layers()) {
-    count += static_cast<std::int64_t>(kw_.KernelsForLayer(layer).size());
-  }
-  return count;
+  return kw_.MappedKernelCount(network);
 }
 
 double CpuAwareModel::PredictUs(const dnn::Network& network,

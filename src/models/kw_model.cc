@@ -1,6 +1,8 @@
 #include "models/kw_model.h"
 
 #include <algorithm>
+#include <iterator>
+#include <string_view>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -17,19 +19,11 @@ constexpr CostDriver kDrivers[] = {CostDriver::kInput, CostDriver::kOperation,
 
 /** Per-kernel training sample set (one point per execution). */
 struct KernelSamples {
-  std::vector<double> x_input;
-  std::vector<double> x_operation;
-  std::vector<double> x_output;
+  std::vector<double> x[3];  // indexed by CostDriver
   std::vector<double> y;
 
   const std::vector<double>& XFor(CostDriver driver) const {
-    switch (driver) {
-      case CostDriver::kInput: return x_input;
-      case CostDriver::kOperation: return x_operation;
-      case CostDriver::kOutput: return x_output;
-    }
-    GP_CHECK(false);
-    return x_input;
+    return x[static_cast<int>(driver)];
   }
 };
 
@@ -41,15 +35,25 @@ std::size_t CommonPrefix(const std::string& a, const std::string& b) {
 }
 
 /**
- * The intercept-clamped OLS fit shared with the online refit path
- * (regression::FitLinearClampedIntercept): unclamped OLS can push the
- * intercept far outside the physical launch-overhead range when the
- * sampled sizes cluster, which wrecks extrapolation to small batches.
+ * Kernel `name`'s model on one GPU: the exact name, else the first with
+ * the longest common prefix, if that is at least half the name (a
+ * tile-variant mismatch), else nullptr (the layer falls back to LW).
  */
-regression::LinearFit ClampedFit(const std::vector<double>& x,
-                                 const std::vector<double>& y,
-                                 double max_intercept_us) {
-  return regression::FitLinearClampedIntercept(x, y, max_intercept_us);
+const KernelModel* MatchKernel(
+    const std::map<std::string, KernelModel>& kernels,
+    const std::string& name) {
+  auto exact = kernels.find(name);
+  if (exact != kernels.end()) return &exact->second;
+  const KernelModel* model = nullptr;
+  std::size_t best_prefix = 0;
+  for (const auto& [candidate, candidate_model] : kernels) {
+    const std::size_t prefix = CommonPrefix(candidate, name);
+    if (prefix > best_prefix) {
+      best_prefix = prefix;
+      model = &candidate_model;
+    }
+  }
+  return best_prefix < name.size() / 2 ? nullptr : model;
 }
 
 }  // namespace
@@ -75,60 +79,60 @@ void KwModel::Train(const dataset::Dataset& data,
                     const dataset::NetworkSplit& split) {
   per_gpu_.clear();
   mapping_.clear();
-  reduced_mapping_.clear();
+  // Training runs on the dataset's interned ids; the string-keyed maps
+  // (the bundle schema) are written once per distinct key.
+  const std::vector<dataset::KernelRow>& rows = data.kernel_rows();
+  const std::size_t kernel_count = data.kernels().size();
+  const std::size_t network_count = data.networks().size();
+  const std::vector<char> is_test = split.TestMask(data.networks().size());
 
   // --- 1. Mapping table from all traces (library behaviour, not timing).
   // Rows are trace-ordered, so kernels of one layer instance are
-  // consecutive; commit each instance's list on boundary change.
+  // consecutive; each signature keeps its first instance's kernel list.
   {
-    std::tuple<int, int, int> current{-1, -1, -1};
-    int current_signature = -1;
-    std::vector<std::string> names;
-    auto commit = [&]() {
-      if (current_signature < 0 || names.empty()) return;
-      mapping_.emplace(data.signatures().Get(current_signature), names);
-    };
-    for (const dataset::KernelRow& row : data.kernel_rows()) {
-      std::tuple<int, int, int> key{row.gpu_id, row.network_id,
-                                    row.layer_index};
-      if (key != current) {
-        commit();
-        current = key;
-        current_signature = row.signature_id;
-        names.clear();
+    std::vector<std::vector<int>> first(data.signatures().size());
+    std::vector<int>* open = nullptr;  // the instance being recorded
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const dataset::KernelRow& row = rows[i];
+      if (i == 0 || row.gpu_id != rows[i - 1].gpu_id ||
+          row.network_id != rows[i - 1].network_id ||
+          row.layer_index != rows[i - 1].layer_index) {
+        std::vector<int>& list = first[row.signature_id];
+        open = list.empty() ? &list : nullptr;
       }
-      names.push_back(data.kernels().Get(row.kernel_id));
+      if (open != nullptr) open->push_back(row.kernel_id);
     }
-    commit();
-    // Derive the reduced-signature fallback table from the (sorted) full
-    // table, so its contents do not depend on trace order and the save/
-    // load round trip reproduces it exactly.
-    for (const auto& [signature, kernel_names] : mapping_) {
-      reduced_mapping_.emplace(ReducedSignature(signature), kernel_names);
+    for (std::size_t sid = 0; sid < first.size(); ++sid) {
+      if (first[sid].empty()) continue;
+      std::vector<std::string>& names =
+          mapping_[data.signatures().Get(static_cast<int>(sid))];
+      for (int id : first[sid]) names.push_back(data.kernels().Get(id));
     }
   }
 
-  // --- 2. Per-(GPU, kernel) samples from training networks only.
-  std::map<std::pair<int, int>, KernelSamples> samples;
-  for (const dataset::KernelRow& row : data.kernel_rows()) {
-    if (split.IsTest(row.network_id)) continue;
-    KernelSamples& s = samples[{row.gpu_id, row.kernel_id}];
-    s.x_input.push_back(static_cast<double>(row.input_elems));
-    s.x_operation.push_back(static_cast<double>(row.layer_flops));
-    s.x_output.push_back(static_cast<double>(row.output_elems));
+  // --- 2. Per-(GPU, kernel) samples from training networks only, in a
+  // dense [gpu_id * kernel_count + kernel_id] array.
+  std::vector<KernelSamples> samples(data.gpus().size() * kernel_count);
+  for (const dataset::KernelRow& row : rows) {
+    if (is_test[row.network_id]) continue;
+    KernelSamples& s = samples[row.gpu_id * kernel_count + row.kernel_id];
+    s.x[0].push_back(static_cast<double>(row.input_elems));
+    s.x[1].push_back(static_cast<double>(row.layer_flops));
+    s.x[2].push_back(static_cast<double>(row.output_elems));
     s.y.push_back(row.time_us);
   }
 
   // Classification: the driver whose regression has the best R² (O5).
-  for (auto& [key, s] : samples) {
-    const std::string& gpu = data.gpus().Get(key.first);
-    const std::string& kernel = data.kernels().Get(key.second);
+  std::vector<KernelModel*> models(samples.size(), nullptr);
+  for (std::size_t slot = 0; slot < samples.size(); ++slot) {
+    const KernelSamples& s = samples[slot];
+    if (s.y.empty()) continue;
     KernelModel model;
     if (options_.classify_drivers) {
       double best_r2 = -1e300;
       for (CostDriver driver : kDrivers) {
-        regression::LinearFit fit =
-            ClampedFit(s.XFor(driver), s.y, options_.max_intercept_us);
+        regression::LinearFit fit = regression::FitLinearClampedIntercept(
+            s.XFor(driver), s.y, options_.max_intercept_us);
         if (fit.r2 > best_r2) {
           best_r2 = fit.r2;
           model.driver = driver;
@@ -137,17 +141,20 @@ void KwModel::Train(const dataset::Dataset& data,
       }
     } else {
       model.driver = CostDriver::kOperation;
-      model.fit =
-          ClampedFit(s.x_operation, s.y, options_.max_intercept_us);
+      model.fit = regression::FitLinearClampedIntercept(
+          s.XFor(model.driver), s.y, options_.max_intercept_us);
     }
     model.solo_r2 = model.fit.r2;
-    per_gpu_[gpu][kernel] = model;
+    const int gpu_id = static_cast<int>(slot / kernel_count);
+    const int kernel_id = static_cast<int>(slot % kernel_count);
+    models[slot] = &(per_gpu_[data.gpus().Get(gpu_id)]
+                             [data.kernels().Get(kernel_id)] = model);
   }
 
   // --- 3. Clustering: merge kernels with similar lines (Section 5.4).
   if (options_.cluster) {
     for (auto& [gpu, kernels] : per_gpu_) {
-      const int gpu_id = data.gpus().Find(gpu);
+      const std::size_t gpu_id = data.gpus().Find(gpu);
       for (CostDriver driver : kDrivers) {
         // Kernels of this driver sorted by slope.
         std::vector<std::string> names;
@@ -187,13 +194,13 @@ void KwModel::Train(const dataset::Dataset& data,
           std::vector<double> x, y;
           for (const std::string& name : clusters[c]) {
             const KernelSamples& s =
-                samples.at({gpu_id, data.kernels().Find(name)});
+                samples[gpu_id * kernel_count + data.kernels().Find(name)];
             const std::vector<double>& xs = s.XFor(driver);
             x.insert(x.end(), xs.begin(), xs.end());
             y.insert(y.end(), s.y.begin(), s.y.end());
           }
-          regression::LinearFit fit =
-              ClampedFit(x, y, options_.max_intercept_us);
+          regression::LinearFit fit = regression::FitLinearClampedIntercept(
+              x, y, options_.max_intercept_us);
           for (const std::string& name : clusters[c]) {
             kernels[name].fit = fit;
             kernels[name].cluster_id = cluster_id;
@@ -212,27 +219,29 @@ void KwModel::Train(const dataset::Dataset& data,
   lw_fallback_.Train(data, split);
 
   // --- 5. Per-GPU end-to-end calibration: the ratio of measured wall
-  // time to summed kernel predictions over the training networks.
+  // time to summed kernel predictions over the training networks, summed
+  // in row order into a dense [gpu_id * network_count + network_id] array.
   calibration_.clear();
   if (options_.calibrate_e2e) {
-    std::map<std::pair<int, int>, double> predicted_sums;
-    for (const dataset::KernelRow& row : data.kernel_rows()) {
-      if (split.IsTest(row.network_id)) continue;
-      const auto& kernels = per_gpu_.at(data.gpus().Get(row.gpu_id));
-      auto it = kernels.find(data.kernels().Get(row.kernel_id));
-      if (it == kernels.end()) continue;
+    std::vector<double> predicted_sums(data.gpus().size() * network_count);
+    for (const dataset::KernelRow& row : rows) {
+      if (is_test[row.network_id]) continue;
+      // Every training row has a model: its samples created one.
+      const KernelModel& model = *models[row.gpu_id * kernel_count +
+                                         row.kernel_id];
       // Rows carry batch-scaled driver values, hence a batch of 1.
-      predicted_sums[{row.gpu_id, row.network_id}] +=
-          TermUs(1, row.DriverValue(it->second.driver), it->second.fit.slope,
-                 it->second.fit.intercept);
+      predicted_sums[row.gpu_id * network_count + row.network_id] +=
+          TermUs(1, row.DriverValue(model.driver), model.fit.slope,
+                 model.fit.intercept);
     }
     std::map<int, std::pair<double, double>> totals;  // gpu -> (e2e, pred)
     for (const dataset::NetworkRow& row : data.network_rows()) {
-      if (split.IsTest(row.network_id)) continue;
-      auto it = predicted_sums.find({row.gpu_id, row.network_id});
-      if (it == predicted_sums.end() || it->second <= 0) continue;
+      if (is_test[row.network_id]) continue;
+      const double predicted =
+          predicted_sums[row.gpu_id * network_count + row.network_id];
+      if (predicted <= 0) continue;
       totals[row.gpu_id].first += row.e2e_us;
-      totals[row.gpu_id].second += it->second;
+      totals[row.gpu_id].second += predicted;
     }
     for (const auto& [gpu_id, sums] : totals) {
       if (sums.second > 0) {
@@ -252,10 +261,33 @@ void KwModel::FinalizeTables() {
   cluster_counts_.clear();
   sig_index_.clear();
   reduced_index_.clear();
+  sid_kernel_counts_.clear();
   resolved_.clear();
   predict_cache_.Clear();
   plan_cache_.Clear();
 
+  // Signature ids follow the sorted mapping-table order; the reduced
+  // index keeps the first full signature per reduced key. The table's
+  // kernel names are interned once, so each GPU matches each distinct
+  // name once; sid_kernels holds every sid's list of name ids in turn.
+  std::unordered_map<std::string_view, int> name_ids;
+  std::vector<const std::string*> distinct_names;
+  std::vector<int> sid_kernels;
+  for (const auto& [signature, names] : mapping_) {
+    const int sid = static_cast<int>(sig_index_.size());
+    sig_index_.emplace(signature, sid);
+    reduced_index_.emplace(ReducedSignature(signature), sid);
+    sid_kernel_counts_.push_back(static_cast<int>(names.size()));
+    for (const std::string& name : names) {
+      auto [it, inserted] =
+          name_ids.emplace(name, static_cast<int>(distinct_names.size()));
+      if (inserted) distinct_names.push_back(&name);
+      sid_kernels.push_back(it->second);
+    }
+  }
+
+  // Per GPU, resolve every signature to concrete fitted lines.
+  std::vector<const KernelModel*> by_name(distinct_names.size());
   for (const auto& [gpu, kernels] : per_gpu_) {
     gpu_index_.emplace(gpu, static_cast<int>(gpu_names_.size()));
     gpu_names_.push_back(gpu);
@@ -266,54 +298,26 @@ void KwModel::FinalizeTables() {
     std::sort(ids.begin(), ids.end());
     ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
     cluster_counts_.push_back(static_cast<int>(ids.size()));
-  }
-
-  // Signature ids follow the sorted mapping-table order; the reduced
-  // index keeps the first full signature per reduced key, matching the
-  // emplace semantics used to derive reduced_mapping_.
-  for (const auto& [signature, names] : mapping_) {
-    (void)names;
-    sig_index_.emplace(signature, static_cast<int>(sig_index_.size()));
-  }
-  for (const auto& [signature, names] : mapping_) {
-    (void)names;
-    reduced_index_.emplace(ReducedSignature(signature),
-                           sig_index_.at(signature));
-  }
-
-  // Resolve every (gpu, signature) to concrete fitted lines, applying
-  // the exact-name then longest-common-prefix lookup (tile-variant
-  // mismatch) that the predict path previously re-ran per call.
-  resolved_.assign(gpu_names_.size(), {});
-  for (std::size_t g = 0; g < gpu_names_.size(); ++g) {
-    const std::map<std::string, KernelModel>& kernels =
-        per_gpu_.at(gpu_names_[g]);
-    resolved_[g].resize(sig_index_.size());
-    for (const auto& [signature, names] : mapping_) {
-      ResolvedLayer& layer = resolved_[g][sig_index_.at(signature)];
-      for (const std::string& name : names) {
-        const KernelModel* model = nullptr;
-        auto kernel_it = kernels.find(name);
-        if (kernel_it != kernels.end()) {
-          model = &kernel_it->second;
-        } else {
-          std::size_t best_prefix = 0;
-          for (const auto& [candidate, candidate_model] : kernels) {
-            const std::size_t prefix = CommonPrefix(candidate, name);
-            if (prefix > best_prefix) {
-              best_prefix = prefix;
-              model = &candidate_model;
-            }
-          }
-          if (model == nullptr || best_prefix < name.size() / 2) {
-            layer.use_lw = true;
-            layer.kernels.clear();
-            break;
-          }
+    for (std::size_t n = 0; n < distinct_names.size(); ++n) {
+      by_name[n] = MatchKernel(kernels, *distinct_names[n]);
+    }
+    std::vector<ResolvedLayer>& layers =
+        resolved_.emplace_back(sid_kernel_counts_.size());
+    const int* name_id = sid_kernels.data();
+    for (std::size_t sid = 0; sid < layers.size(); ++sid) {
+      const int count = sid_kernel_counts_[sid];
+      for (int k = 0; k < count; ++k) {
+        const KernelModel* model = by_name[name_id[k]];
+        if (model == nullptr) {
+          layers[sid].use_lw = true;
+          layers[sid].kernels.clear();
+          break;
         }
-        layer.kernels.push_back({model->driver, model->fit.slope,
-                                 model->fit.intercept, model->cluster_id});
+        layers[sid].kernels.push_back({model->driver, model->fit.slope,
+                                       model->fit.intercept,
+                                       model->cluster_id});
       }
+      name_id += count;
     }
   }
 }
@@ -325,12 +329,19 @@ double KwModel::CalibrationFor(const std::string& gpu_name) const {
 
 std::vector<std::string> KwModel::KernelsForLayer(
     const dnn::Layer& layer) const {
-  const std::string signature = dnn::LayerSignature(layer);
-  auto it = mapping_.find(signature);
-  if (it != mapping_.end()) return it->second;
-  auto reduced = reduced_mapping_.find(ReducedSignature(signature));
-  if (reduced != reduced_mapping_.end()) return reduced->second;
-  return {};
+  // Sids number mapping_ in order. The walk is O(sids), and no
+  // prediction path calls this.
+  const int sid = ResolveSid(layer);
+  if (sid < 0) return {};
+  return std::next(mapping_.begin(), sid)->second;
+}
+
+std::int64_t KwModel::MappedKernelCount(const dnn::Network& network) const {
+  std::int64_t count = 0;
+  for (int sid : SidsFor(network)) {
+    if (sid >= 0) count += sid_kernel_counts_[sid];
+  }
+  return count;
 }
 
 KwModel::Coverage KwModel::CoverageFor(const dnn::Network& network,

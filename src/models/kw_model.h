@@ -111,6 +111,9 @@ class KwModel : public Predictor {
   /** Kernel names the mapping table yields for `layer` (may be empty). */
   std::vector<std::string> KernelsForLayer(const dnn::Layer& layer) const;
 
+  /** KernelsForLayer sizes summed over `network`, through the sid memo. */
+  std::int64_t MappedKernelCount(const dnn::Network& network) const;
+
   /**
    * One kernel's contribution to a resolved layer prediction — the unit
    * the drift monitor attributes observed e2e residuals to.
@@ -252,8 +255,6 @@ class KwModel : public Predictor {
   std::map<std::string, std::map<std::string, KernelModel>> per_gpu_;
   // layer signature -> ordered kernel names.
   std::map<std::string, std::vector<std::string>> mapping_;
-  // reduced signature (kind + filter params) -> ordered kernel names.
-  std::map<std::string, std::vector<std::string>> reduced_mapping_;
   // Per-GPU end-to-end calibration factors.
   std::map<std::string, double> calibration_;
   // Last-resort per-layer-kind fallback.
@@ -265,7 +266,9 @@ class KwModel : public Predictor {
   std::vector<double> calibration_by_gpu_;
   std::vector<int> cluster_counts_;
   std::unordered_map<std::string, int> sig_index_;
+  // reduced signature (kind + filter params) -> its first full sid.
   std::unordered_map<std::string, int> reduced_index_;
+  std::vector<int> sid_kernel_counts_;  // mapping-table list length
   std::vector<std::vector<ResolvedLayer>> resolved_;  // [gpu][sid]
   // network name -> per-layer sids, filled lazily on prediction.
   NetworkSidCache predict_cache_;

@@ -1,5 +1,8 @@
 #include "models/lw_model.h"
 
+#include <algorithm>
+#include <tuple>
+
 #include "common/logging.h"
 #include "dnn/flops.h"
 #include "models/prediction_plan.h"
@@ -9,33 +12,44 @@ namespace gpuperf::models {
 void LwModel::Train(const dataset::Dataset& data,
                     const dataset::NetworkSplit& split) {
   fits_.clear();
-  // Layer time = sum of its kernels' times; aggregate per
-  // (gpu, network, layer_index) first, then bucket by layer kind.
-  struct LayerAccum {
-    double time_us = 0;
-    double flops = 0;
-    dnn::LayerKind kind = dnn::LayerKind::kRelu;
-  };
-  std::map<std::tuple<int, int, int>, LayerAccum> layers;
+  // Layer time = sum of its kernels' times over one layer instance, a
+  // (gpu, network, layer_index) key. Campaign rows come in key order;
+  // other orders are stable-sorted, so each instance sums in row order.
+  const std::vector<char> is_test = split.TestMask(data.networks().size());
+  std::vector<const dataset::KernelRow*> rows;
+  rows.reserve(data.kernel_rows().size());
   for (const dataset::KernelRow& row : data.kernel_rows()) {
-    if (split.IsTest(row.network_id)) continue;
-    LayerAccum& accum =
-        layers[{row.gpu_id, row.network_id, row.layer_index}];
-    accum.time_us += row.time_us;
-    accum.flops = static_cast<double>(row.layer_flops);
-    accum.kind = row.layer_kind;
+    if (!is_test[row.network_id]) rows.push_back(&row);
   }
-  std::map<std::pair<std::string, dnn::LayerKind>,
-           std::pair<std::vector<double>, std::vector<double>>>
-      samples;
-  for (const auto& [key, accum] : layers) {
-    auto& [x, y] =
-        samples[{data.gpus().Get(std::get<0>(key)), accum.kind}];
-    x.push_back(accum.flops);
-    y.push_back(accum.time_us);
+  const auto before = [](const dataset::KernelRow* a,
+                         const dataset::KernelRow* b) {
+    return std::tie(a->gpu_id, a->network_id, a->layer_index) <
+           std::tie(b->gpu_id, b->network_id, b->layer_index);
+  };
+  if (!std::is_sorted(rows.begin(), rows.end(), before)) {
+    std::stable_sort(rows.begin(), rows.end(), before);
   }
-  for (auto& [key, xy] : samples) {
-    fits_[key] = regression::FitLinear(xy.first, xy.second);
+  // Instances in key order, bucketed by [gpu_id][layer kind]; the
+  // instance's last row supplies its FLOPs and kind.
+  std::vector<std::pair<std::vector<double>, std::vector<double>>> samples(
+      data.gpus().size() * dnn::kLayerKindCount);
+  for (std::size_t begin = 0, end = 0; begin < rows.size(); begin = end) {
+    double time_us = 0;
+    for (end = begin; end < rows.size() && !before(rows[begin], rows[end]);
+         ++end) {
+      time_us += rows[end]->time_us;
+    }
+    const dataset::KernelRow& last = *rows[end - 1];
+    auto& [x, y] = samples[last.gpu_id * dnn::kLayerKindCount +
+                           static_cast<int>(last.layer_kind)];
+    x.push_back(static_cast<double>(last.layer_flops));
+    y.push_back(time_us);
+  }
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    if (samples[i].first.empty()) continue;
+    fits_[{data.gpus().Get(static_cast<int>(i) / dnn::kLayerKindCount),
+           static_cast<dnn::LayerKind>(i % dnn::kLayerKindCount)}] =
+        regression::FitLinear(samples[i].first, samples[i].second);
   }
 }
 

@@ -368,10 +368,6 @@ StatusOr<KwModel> ModelIo::LoadKw(const std::string& directory) {
                                      fields[signature] + "'"));
       }
     }
-    // Same derivation order as KwModel::Train (sorted full table).
-    for (const auto& [sig, names] : model.mapping_) {
-      model.reduced_mapping_.emplace(ReducedSignature(sig), names);
-    }
   }
   {
     GP_ASSIGN_OR_RETURN(const CsvTable table,

@@ -1,16 +1,22 @@
 #include "models/kw_model.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "common/stats.h"
+#include "common/string_util.h"
 #include "dnn/builder.h"
 #include "gpuexec/lowering.h"
 #include "gpuexec/profiler.h"
 #include "models/igkw_model.h"
+#include "models/lw_model.h"
 #include "test_support.h"
 #include "zoo/zoo.h"
 
@@ -206,6 +212,159 @@ TEST(KwModelDeathTest, UntrainedGpuIsFatal) {
   dnn::Network net = zoo::BuildByName("alexnet");
   EXPECT_EXIT(model.PredictUs(net, gpuexec::GpuByName("V100"), 64),
               ::testing::ExitedWithCode(1), "not trained");
+}
+
+/** Folds the bit pattern of `value` into `digest`. */
+std::uint64_t Fold(std::uint64_t digest, double value) {
+  return HashCombine(digest, std::bit_cast<std::uint64_t>(value));
+}
+
+std::uint64_t Fold(std::uint64_t digest, const std::string& text) {
+  return HashCombine(digest, StableHash(text));
+}
+
+std::uint64_t Fold(std::uint64_t digest, const regression::LinearFit& fit) {
+  digest = Fold(Fold(digest, fit.slope), fit.intercept);
+  return HashCombine(Fold(digest, fit.r2), fit.n);
+}
+
+/** One pinned training run: order-sensitive digests of what it learned. */
+struct TrainGolden {
+  const char* label;
+  std::uint64_t kernel_models;  // every KernelModel field, bit for bit
+  std::uint64_t mapping;        // MappingTable()
+  std::uint64_t calibration;    // CalibrationFor each trained GPU
+  std::uint64_t lw_fits;        // LwModel::fits() of the same data
+  std::uint64_t layer_kernels;  // KernelsForLayer over a zoo sweep
+  std::uint64_t predictions;    // PredictUs of the sweep on each GPU
+};
+
+TrainGolden DigestTraining(const dataset::Dataset& data,
+                           const dataset::NetworkSplit& split,
+                           const KwOptions& options,
+                           const std::vector<dnn::Network>& sweep) {
+  KwModel kw(options);
+  kw.Train(data, split);
+  LwModel lw;
+  lw.Train(data, split);
+  TrainGolden golden{"", 0, 0, 0, 0, 0, 0};
+  for (const std::string& gpu : kw.TrainedGpus()) {
+    golden.kernel_models = Fold(golden.kernel_models, gpu);
+    for (const auto& [name, model] : kw.KernelModels(gpu)) {
+      std::uint64_t& d = golden.kernel_models;
+      d = HashCombine(Fold(d, name), static_cast<std::uint64_t>(model.driver));
+      d = Fold(Fold(d, model.fit), model.solo_r2);
+      d = HashCombine(d, static_cast<std::uint64_t>(model.cluster_id));
+    }
+    golden.calibration =
+        Fold(Fold(golden.calibration, gpu), kw.CalibrationFor(gpu));
+  }
+  for (const auto& [signature, names] : kw.MappingTable()) {
+    golden.mapping = Fold(golden.mapping, signature);
+    for (const std::string& name : names) {
+      golden.mapping = Fold(golden.mapping, name);
+    }
+  }
+  for (const auto& [key, fit] : lw.fits()) {
+    golden.lw_fits = Fold(golden.lw_fits, key.first);
+    golden.lw_fits = Fold(HashCombine(golden.lw_fits,
+                                      static_cast<std::uint64_t>(key.second)),
+                          fit);
+  }
+  for (const dnn::Network& network : sweep) {
+    for (const dnn::Layer& layer : network.layers()) {
+      golden.layer_kernels = HashCombine(golden.layer_kernels, 0x4c);
+      for (const std::string& name : kw.KernelsForLayer(layer)) {
+        golden.layer_kernels = Fold(golden.layer_kernels, name);
+      }
+    }
+    for (const std::string& gpu : kw.TrainedGpus()) {
+      golden.predictions = Fold(
+          golden.predictions,
+          kw.PredictUs(network, gpuexec::GpuByName(gpu), /*batch=*/64));
+    }
+  }
+  return golden;
+}
+
+TEST_F(KwModelTest, TrainMatchesParentGolden) {
+  // Pinned from the string-keyed trainer, which looked every kernel row
+  // up by name and bucketed samples, layer instances and calibration
+  // sums in ordered maps: training on interned ids must reproduce every
+  // fit, the mapping table, the calibration factors and the LW fallback
+  // bit for bit. The last row trains on a copy whose kernel rows come in
+  // reverse GPU-block order, so the first instance of a signature comes
+  // from another GPU and the layer-wise fallback sees unsorted rows.
+  static constexpr TrainGolden kGolden[] = {
+      {"default", 0x81e649659061f7d5ULL, 0x19b2b6f83d522235ULL,
+       0x2801945d13fb4961ULL, 0x9cec7c86767822c3ULL, 0x58d360be849f6e7ULL,
+       0x689a6026ef02c3afULL},
+      {"no classify", 0x7bc94c4756e9835dULL, 0x19b2b6f83d522235ULL,
+       0x20b26e18ba5e4918ULL, 0x9cec7c86767822c3ULL, 0x58d360be849f6e7ULL,
+       0x86796c2e06330e9ULL},
+      {"no cluster", 0x7ecb52eea1e854b7ULL, 0x19b2b6f83d522235ULL,
+       0xf535ece0484c4cf1ULL, 0x9cec7c86767822c3ULL, 0x58d360be849f6e7ULL,
+       0x358a242fbcb9e638ULL},
+      {"no calibrate", 0x81e649659061f7d5ULL, 0x19b2b6f83d522235ULL,
+       0x7f42bc0354a3c9b8ULL, 0x9cec7c86767822c3ULL, 0x58d360be849f6e7ULL,
+       0x5f8602cc901fd507ULL},
+      {"gpu blocks reversed, last renamed", 0xd4fc237d7dcb1c63ULL,
+       0x6c07d7b130d77dcbULL, 0x2801945d13fb4961ULL, 0x9cec7c86767822c3ULL,
+       0x9b2868e0ec29df49ULL, 0x689a6026ef02c3afULL},
+  };
+  const SmallCampaign& campaign = SmallCampaign::Get();
+  // A sweep wider than the campaign, so reduced-signature hits and
+  // misses are pinned too.
+  const std::vector<dnn::Network> sweep = zoo::SmallZoo(/*stride=*/7);
+  KwOptions no_classify;
+  no_classify.classify_drivers = false;
+  KwOptions no_cluster;
+  no_cluster.cluster = false;
+  KwOptions no_calibrate;
+  no_calibrate.calibrate_e2e = false;
+  // Lowering does not depend on the GPU, so the last GPU's kernels are
+  // renamed: its block, now first, must own the mapping table, and the
+  // other GPUs then resolve those names by longest common prefix.
+  dataset::Dataset reversed = campaign.data();
+  const int last_gpu = reversed.gpus().size() - 1;
+  for (dataset::KernelRow& row : reversed.kernel_rows()) {
+    if (row.gpu_id != last_gpu) continue;
+    const std::string renamed = reversed.kernels().Get(row.kernel_id) + "_v2";
+    row.kernel_id = reversed.kernels().Intern(renamed);
+  }
+  std::stable_sort(reversed.kernel_rows().begin(),
+                   reversed.kernel_rows().end(),
+                   [](const dataset::KernelRow& a,
+                      const dataset::KernelRow& b) {
+                     return a.gpu_id > b.gpu_id;
+                   });
+  const TrainGolden runs[] = {
+      DigestTraining(campaign.data(), campaign.split(), KwOptions(), sweep),
+      DigestTraining(campaign.data(), campaign.split(), no_classify, sweep),
+      DigestTraining(campaign.data(), campaign.split(), no_cluster, sweep),
+      DigestTraining(campaign.data(), campaign.split(), no_calibrate, sweep),
+      DigestTraining(reversed, campaign.split(), KwOptions(), sweep),
+  };
+  static_assert(std::size(runs) == std::size(kGolden));
+  for (std::size_t i = 0; i < std::size(runs); ++i) {
+    const TrainGolden& run = runs[i];
+    const TrainGolden& want = kGolden[i];
+    const std::string row = Format(
+        "{\"%s\", 0x%llxULL, 0x%llxULL, 0x%llxULL, 0x%llxULL, 0x%llxULL, "
+        "0x%llxULL},",
+        want.label, static_cast<unsigned long long>(run.kernel_models),
+        static_cast<unsigned long long>(run.mapping),
+        static_cast<unsigned long long>(run.calibration),
+        static_cast<unsigned long long>(run.lw_fits),
+        static_cast<unsigned long long>(run.layer_kernels),
+        static_cast<unsigned long long>(run.predictions));
+    EXPECT_EQ(run.kernel_models, want.kernel_models) << row;
+    EXPECT_EQ(run.mapping, want.mapping) << row;
+    EXPECT_EQ(run.calibration, want.calibration) << row;
+    EXPECT_EQ(run.lw_fits, want.lw_fits) << row;
+    EXPECT_EQ(run.layer_kernels, want.layer_kernels) << row;
+    EXPECT_EQ(run.predictions, want.predictions) << row;
+  }
 }
 
 TEST(ReducedSignatureTest, DropsShapesKeepsParams) {
