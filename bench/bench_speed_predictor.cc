@@ -221,6 +221,24 @@ void BM_BuildDatasetSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildDatasetSerial)->Unit(benchmark::kMillisecond);
 
+// The same serial build on all seven GPUs: each network is lowered once
+// and replayed per GPU, which the single-GPU row cannot see. Items are
+// kernel rows.
+void BM_BuildDatasetAllGpus(benchmark::State& state) {
+  const Fixture& fixture = Fixture::Get();
+  dataset::BuildOptions options;
+  options.jobs = 1;
+  std::int64_t rows = 0;
+  for (auto _ : state) {
+    const dataset::Dataset data =
+        dataset::BuildDataset(fixture.networks, options);
+    rows += static_cast<std::int64_t>(data.kernel_rows().size());
+    benchmark::DoNotOptimize(data);
+  }
+  state.SetItemsProcessed(rows);
+}
+BENCHMARK(BM_BuildDatasetAllGpus)->Unit(benchmark::kMillisecond);
+
 void BM_BuildDatasetParallel(benchmark::State& state) {
   const Fixture& fixture = Fixture::Get();
   dataset::BuildOptions options;

@@ -12,6 +12,10 @@
 #                               (41 networks on A100): lowering-cache
 #                               lookups, the oracle's expected-time
 #                               memo, the noisy replay and the merge;
+#   BM_BuildDatasetAllGpus      one kernel row of the same serial build
+#                               on all 7 GPUs: each network is lowered
+#                               once and replayed per GPU, which the
+#                               A100-only row cannot see;
 #   BM_KwTrain                  one kernel row of a KwModel fit on the
 #                               A100 dataset: mapping table, samples,
 #                               driver classification, clustering, LW

@@ -1,13 +1,14 @@
 #include "dataset/builder.h"
 
 #include <cstddef>
+#include <unordered_map>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "dnn/flops.h"
+#include "dnn/memory.h"
 #include "gpuexec/gpu_spec.h"
 #include "gpuexec/profiler.h"
-
-#include "dnn/memory.h"
 
 namespace gpuperf::dataset {
 namespace {
@@ -35,9 +36,9 @@ void AppendProfiles(const std::vector<dnn::Network>& networks,
   const gpuexec::HardwareOracle oracle(options.oracle);
   const gpuexec::Profiler profiler(oracle, options.measured_batches);
 
-  // Phase 1 (serial, cheap): decide the campaign plan. The OOM filter
-  // runs here so the work list — and therefore the merge order — is
-  // fixed before any profiling starts.
+  // Phase 1: decide the campaign plan and lower it. The OOM filter runs
+  // serially first, so the work list — and therefore the merge order —
+  // is fixed before any profiling starts.
   std::vector<WorkItem> items;
   items.reserve(gpus.size() * networks.size());
   for (std::size_t g = 0; g < gpus.size(); ++g) {
@@ -53,25 +54,51 @@ void AppendProfiles(const std::vector<dnn::Network>& networks,
     }
   }
 
-  // Phase 2 (parallel, expensive): profile each combo into its own slot.
-  // The profiler is deterministic per combo (its noise stream is keyed
-  // by (network, gpu, batch)), so slot contents do not depend on which
-  // thread ran them or in what order.
-  std::vector<gpuexec::NetworkProfile> profiles(items.size());
+  // Lowering does not depend on the GPU, so each network that has a work
+  // item is lowered once and replayed on every GPU it fits on.
+  std::vector<char> has_item(networks.size(), 0);
+  for (const WorkItem& item : items) has_item[item.network_index] = 1;
+  std::vector<gpuexec::LoweredNetwork> lowered(networks.size());
+  std::vector<std::int64_t> total_flops(networks.size(), 0);
   ThreadPool pool(options.jobs);
-  pool.ParallelFor(items.size(), [&](std::size_t i) {
-    profiles[i] = profiler.Profile(networks[items[i].network_index],
-                                   gpus[items[i].gpu_index], options.batch,
-                                   options.workload);
+  pool.ParallelFor(networks.size(), [&](std::size_t n) {
+    if (!has_item[n]) return;
+    lowered[n] = gpuexec::LowerForReplay(networks[n], options.batch,
+                                         options.workload);
+    total_flops[n] = dnn::NetworkFlops(networks[n], options.batch);
   });
+
+  // Phase 2 (parallel, expensive): replay each combo into its own dense
+  // array of averaged kernel times. The profiler is deterministic per
+  // combo (its noise stream is keyed by (network, gpu, batch)), so slot
+  // contents do not depend on which thread ran them or in what order.
+  std::vector<gpuexec::Replay> replays(items.size());
+  pool.ParallelFor(items.size(), [&](std::size_t i) {
+    const std::size_t n = items[i].network_index;
+    replays[i] = profiler.ReplayLowered(networks[n], lowered[n],
+                                        gpus[items[i].gpu_index]);
+  });
+
+  std::size_t kernel_rows = 0;
+  for (const gpuexec::Replay& replay : replays) {
+    kernel_rows += replay.times_us.size();
+  }
+  dataset->kernel_rows().reserve(dataset->kernel_rows().size() + kernel_rows);
+  dataset->network_rows().reserve(dataset->network_rows().size() +
+                                  items.size());
 
   // Phase 3 (serial): merge in the original gpu-major loop order.
   // Interning happens only here, so the id pools and row order are byte
   // for byte those of a jobs=1 build. GPU names are interned even when
   // every network was skipped, matching the historical serial loop.
-  // A network's layer signatures repeat on every GPU, so each (network,
-  // layer) is signed and interned on first use only; that first use is
-  // the row where the serial loop interned it, so the pool is unchanged.
+  // Launch lists and layer signatures repeat across layers, networks and
+  // GPUs, so each distinct launch list's kernel names and each (network,
+  // layer)'s signature are interned on first use only. That first use is
+  // the row where a per-row walk would have interned them, so the pools
+  // are unchanged; a layer that launches no kernel is never signed.
+  std::unordered_map<const gpuexec::LoweringCache::LaunchList*,
+                     std::vector<int>>
+      kernel_ids;
   std::vector<std::vector<int>> signature_ids(networks.size());
   std::size_t next = 0;
   for (std::size_t g = 0; g < gpus.size(); ++g) {
@@ -79,7 +106,7 @@ void AppendProfiles(const std::vector<dnn::Network>& networks,
     for (; next < items.size() && items[next].gpu_index == g; ++next) {
       const std::size_t n = items[next].network_index;
       const dnn::Network& network = networks[n];
-      const gpuexec::NetworkProfile& profile = profiles[next];
+      const gpuexec::Replay& replay = replays[next];
       std::vector<int>& layer_ids = signature_ids[n];
       if (layer_ids.empty()) layer_ids.assign(network.layers().size(), -1);
       const int network_id = dataset->networks().Intern(network.name());
@@ -89,32 +116,46 @@ void AppendProfiles(const std::vector<dnn::Network>& networks,
       net_row.network_id = network_id;
       net_row.family = network.family();
       net_row.batch = options.batch;
-      net_row.e2e_us = profile.e2e_time_us;
-      net_row.gpu_busy_us = profile.gpu_busy_us;
-      net_row.total_flops = profile.total_flops;
+      net_row.e2e_us = replay.e2e_time_us;
+      net_row.gpu_busy_us = replay.gpu_busy_us;
+      net_row.total_flops = total_flops[n];
       dataset->network_rows().push_back(std::move(net_row));
 
-      for (const gpuexec::KernelRecord& record : profile.kernels) {
-        KernelRow row;
-        row.gpu_id = gpu_id;
-        row.network_id = network_id;
-        row.kernel_id = dataset->kernels().Intern(record.kernel_name);
-        int& signature_id = layer_ids[record.layer_index];
+      std::size_t index = 0;
+      for (std::size_t layer = 0; layer < lowered[n].layers.size(); ++layer) {
+        const gpuexec::LoweringCache::LaunchList& launches =
+            *lowered[n].layers[layer];
+        if (launches.empty()) continue;
+        auto [ids, fresh] = kernel_ids.try_emplace(&launches);
+        if (fresh) {
+          ids->second.reserve(launches.size());
+          for (const gpuexec::KernelLaunch& launch : launches) {
+            ids->second.push_back(dataset->kernels().Intern(launch.name));
+          }
+        }
+        int& signature_id = layer_ids[layer];
         if (signature_id < 0) {
           signature_id = dataset->signatures().Intern(
-              dnn::LayerSignature(network.layers()[record.layer_index]));
+              dnn::LayerSignature(network.layers()[layer]));
         }
-        row.signature_id = signature_id;
-        row.layer_index = record.layer_index;
-        row.layer_kind = record.layer_kind;
-        row.true_driver = record.true_driver;
-        row.family = record.family;
-        row.batch = options.batch;
-        row.time_us = record.time_us;
-        row.layer_flops = record.layer_flops;
-        row.input_elems = record.input_elems;
-        row.output_elems = record.output_elems;
-        dataset->kernel_rows().push_back(std::move(row));
+        for (std::size_t k = 0; k < launches.size(); ++k, ++index) {
+          const gpuexec::KernelLaunch& launch = launches[k];
+          KernelRow row;
+          row.gpu_id = gpu_id;
+          row.network_id = network_id;
+          row.kernel_id = ids->second[k];
+          row.signature_id = signature_id;
+          row.layer_index = static_cast<int>(layer);
+          row.layer_kind = launch.layer_kind;
+          row.true_driver = launch.driver;
+          row.family = launch.family;
+          row.batch = options.batch;
+          row.time_us = replay.times_us[index];
+          row.layer_flops = launch.layer_flops;
+          row.input_elems = launch.input_elems;
+          row.output_elems = launch.output_elems;
+          dataset->kernel_rows().push_back(row);
+        }
       }
     }
   }

@@ -194,39 +194,114 @@ Profiler::Profiler(const HardwareOracle& oracle, int measured_batches)
   GP_CHECK_GT(measured_batches, 0);
 }
 
+LoweredNetwork LowerForReplay(const dnn::Network& network, std::int64_t batch,
+                              Workload workload) {
+  // Lowering is memoized process-wide: zoo networks repeat layer
+  // configurations heavily, and a parallel campaign profiles from many
+  // threads against the same shared cache.
+  LoweredNetwork lowered;
+  lowered.batch = batch;
+  lowered.layers = CachedLowerNetworkWorkload(network, batch, workload);
+  std::size_t launches = 0;
+  for (const LaunchListPtr& list : lowered.layers) launches += list->size();
+  lowered.timeline.reserve(launches);
+  if (workload == Workload::kTraining) {
+    // Forward counts come from the cached inference lowering, so the
+    // order is derived without re-lowering any layer.
+    std::vector<std::pair<int, int>> counts(lowered.layers.size());
+    std::vector<std::size_t> flat_base(lowered.layers.size());
+    std::size_t base = 0;
+    for (std::size_t i = 0; i < lowered.layers.size(); ++i) {
+      counts[i].first = static_cast<int>(
+          LoweringCache::Global()
+              .Lower(network.layers()[i], batch, Workload::kInference)
+              ->size());
+      counts[i].second = static_cast<int>(lowered.layers[i]->size());
+      flat_base[i] = base;
+      base += lowered.layers[i]->size();
+    }
+    for (const auto& [layer, k] : TrainingExecutionOrderFromCounts(counts)) {
+      lowered.timeline.push_back(flat_base[layer] + k);
+    }
+  } else {
+    for (std::size_t i = 0; i < launches; ++i) lowered.timeline.push_back(i);
+  }
+  return lowered;
+}
+
+Replay Profiler::ReplayLowered(const dnn::Network& network,
+                               const LoweredNetwork& lowered,
+                               const GpuSpec& gpu, bool with_timeline) const {
+  // Pay the deterministic oracle cost once per distinct launch list and
+  // GPU (the memo); replay with noise in true execution order, averaging
+  // into per-kernel slots kept grouped per layer (the mapping table
+  // relies on it).
+  const std::vector<double> expected =
+      memo_->ExpectedTimes(gpu, lowered.layers);
+  Replay replay;
+  replay.times_us.assign(expected.size(), 0.0);
+  if (with_timeline) {
+    replay.start_us.assign(expected.size(), 0.0);
+    replay.end_us.assign(expected.size(), 0.0);
+  }
+  Rng rng = MakeRunRng(oracle_.config().seed, network.name(), gpu.name,
+                       lowered.batch);
+  double e2e_sum = 0.0;
+  for (int rep = 0; rep < measured_batches_; ++rep) {
+    const bool record_timeline = with_timeline && rep == 0;
+    double cpu_time = kBatchOverheadUs;
+    double gpu_free = 0.0;
+    for (std::size_t index : lowered.timeline) {
+      const double duration =
+          oracle_.NoisyFromExpected(expected[index], &rng);
+      cpu_time += gpu.launch_interval_us;
+      const double start = std::max(cpu_time, gpu_free);
+      gpu_free = start + duration;
+      replay.times_us[index] += duration;
+      if (record_timeline) {
+        replay.start_us[index] = start;
+        replay.end_us[index] = gpu_free;
+      }
+    }
+    e2e_sum += std::max(gpu_free, cpu_time);
+  }
+
+  const double inv_reps = 1.0 / static_cast<double>(measured_batches_);
+  for (double& time : replay.times_us) time *= inv_reps;
+  replay.e2e_time_us = e2e_sum * inv_reps *
+                       WallFactor(oracle_, network.name(), gpu.name);
+  for (double time : replay.times_us) replay.gpu_busy_us += time;
+  return replay;
+}
+
 NetworkProfile Profiler::Profile(const dnn::Network& network,
                                  const GpuSpec& gpu, std::int64_t batch,
                                  Workload workload) const {
+  const LoweredNetwork lowered = LowerForReplay(network, batch, workload);
+  const Replay replay =
+      ReplayLowered(network, lowered, gpu, /*with_timeline=*/true);
+
   NetworkProfile profile;
   profile.network_name = network.name();
   profile.network_family = network.family();
   profile.gpu_name = gpu.name;
   profile.batch = batch;
   profile.total_flops = dnn::NetworkFlops(network, batch);
-
-  // Lowering is memoized process-wide: zoo networks repeat layer
-  // configurations heavily, and a parallel campaign profiles from many
-  // threads against the same shared cache.
-  const std::vector<LaunchListPtr> lowered =
-      CachedLowerNetworkWorkload(network, batch, workload);
-
-  // Pay the deterministic oracle cost once per distinct launch list and
-  // GPU (the memo); replay with noise. Records stay grouped per layer
-  // (the mapping table relies on it); the timeline replays them in true
-  // execution order (forward, then, for training steps, backward in
-  // reverse layer order).
-  const std::vector<double> expected = memo_->ExpectedTimes(gpu, lowered);
-  std::vector<std::size_t> flat_base(lowered.size());
-  for (std::size_t layer = 0; layer < lowered.size(); ++layer) {
-    flat_base[layer] = profile.kernels.size();
-    for (const KernelLaunch& launch : *lowered[layer]) {
+  profile.e2e_time_us = replay.e2e_time_us;
+  profile.gpu_busy_us = replay.gpu_busy_us;
+  profile.kernels.reserve(replay.times_us.size());
+  for (std::size_t layer = 0; layer < lowered.layers.size(); ++layer) {
+    for (const KernelLaunch& launch : *lowered.layers[layer]) {
+      const std::size_t index = profile.kernels.size();
       KernelRecord record;
       record.kernel_name = launch.name;
       record.family = launch.family;
       record.true_driver = launch.driver;
       record.layer_index = static_cast<int>(layer);
       record.layer_kind = launch.layer_kind;
-      record.time_us = 0.0;
+      record.time_us = replay.times_us[index];
+      record.start_us = replay.start_us[index];
+      record.end_us = replay.end_us[index];
       record.kernel_flops = launch.flops;
       record.kernel_bytes = launch.TotalBytes();
       record.layer_flops = launch.layer_flops;
@@ -235,60 +310,13 @@ NetworkProfile Profiler::Profile(const dnn::Network& network,
       profile.kernels.push_back(std::move(record));
     }
   }
-  std::vector<std::size_t> timeline;
-  if (workload == Workload::kTraining) {
-    // Forward counts come from the cached inference lowering, so the
-    // order is derived without re-lowering any layer.
-    std::vector<std::pair<int, int>> counts(lowered.size());
-    for (std::size_t i = 0; i < lowered.size(); ++i) {
-      counts[i].first = static_cast<int>(
-          LoweringCache::Global()
-              .Lower(network.layers()[i], batch, Workload::kInference)
-              ->size());
-      counts[i].second = static_cast<int>(lowered[i]->size());
-    }
-    for (const auto& [layer, k] : TrainingExecutionOrderFromCounts(counts)) {
-      timeline.push_back(flat_base[layer] + k);
-    }
-  } else {
-    timeline.resize(expected.size());
-    for (std::size_t i = 0; i < timeline.size(); ++i) timeline[i] = i;
-  }
-
-  Rng rng = MakeRunRng(oracle_.config().seed, network.name(), gpu.name, batch);
-  double e2e_sum = 0.0;
-  for (int rep = 0; rep < measured_batches_; ++rep) {
-    double cpu_time = kBatchOverheadUs;
-    double gpu_free = 0.0;
-    for (std::size_t index : timeline) {
-      const double duration =
-          oracle_.NoisyFromExpected(expected[index], &rng);
-      cpu_time += gpu.launch_interval_us;
-      const double start = std::max(cpu_time, gpu_free);
-      gpu_free = start + duration;
-      profile.kernels[index].time_us += duration;
-      if (rep == 0) {
-        profile.kernels[index].start_us = start;
-        profile.kernels[index].end_us = gpu_free;
-      }
-    }
-    e2e_sum += std::max(gpu_free, cpu_time);
-  }
-
-  const double inv_reps = 1.0 / static_cast<double>(measured_batches_);
-  for (KernelRecord& record : profile.kernels) record.time_us *= inv_reps;
-  profile.e2e_time_us = e2e_sum * inv_reps *
-                        WallFactor(oracle_, network.name(), gpu.name);
-  for (const KernelRecord& record : profile.kernels) {
-    profile.gpu_busy_us += record.time_us;
-  }
   return profile;
 }
 
 double Profiler::MeasureE2eUs(const dnn::Network& network, const GpuSpec& gpu,
                               std::int64_t batch, Workload workload) const {
-  // Thin wrapper: the trace cost is negligible next to the replay.
-  return Profile(network, gpu, batch, workload).e2e_time_us;
+  return ReplayLowered(network, LowerForReplay(network, batch, workload), gpu)
+      .e2e_time_us;
 }
 
 EfficiencyReport ComputeEfficiency(const dnn::Network& network,

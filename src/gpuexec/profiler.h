@@ -22,6 +22,7 @@
 #include "dnn/network.h"
 #include "gpuexec/gpu_spec.h"
 #include "gpuexec/kernel.h"
+#include "gpuexec/lowering_cache.h"
 #include "gpuexec/oracle.h"
 #include "gpuexec/training.h"
 
@@ -60,6 +61,37 @@ struct NetworkProfile {
 };
 
 /**
+ * One network lowered for one (batch, workload), ready to replay on any
+ * GPU: lowering does not depend on the GPU, so a campaign lowers each
+ * network once and replays it on every device.
+ */
+struct LoweredNetwork {
+  std::int64_t batch = 0;
+  // Entry i holds layer i's launch list, aliasing LoweringCache entries.
+  std::vector<std::shared_ptr<const LoweringCache::LaunchList>> layers;
+  // Flat launch indices (layer-major, as in `layers`) in execution
+  // order: forward, then, for training steps, backward in reverse layer
+  // order.
+  std::vector<std::size_t> timeline;
+};
+
+/**
+ * Lowers `network` through LoweringCache::Global(); the forward counts a
+ * training timeline needs come from the cached inference lowering.
+ */
+LoweredNetwork LowerForReplay(const dnn::Network& network, std::int64_t batch,
+                              Workload workload = Workload::kInference);
+
+/** The measured outcome of replaying a LoweredNetwork on one GPU. */
+struct Replay {
+  std::vector<double> times_us;  // averaged per-kernel time, flat order
+  std::vector<double> start_us;  // first measured batch's timeline, only
+  std::vector<double> end_us;    // when asked for; flat order
+  double e2e_time_us = 0;        // wall time per batch, averaged
+  double gpu_busy_us = 0;        // sum of `times_us`
+};
+
+/**
  * Profiles networks against a HardwareOracle.
  *
  * Besides its configuration, a Profiler owns a memo of the oracle's
@@ -82,6 +114,16 @@ class Profiler {
   double MeasureE2eUs(const dnn::Network& network, const GpuSpec& gpu,
                       std::int64_t batch,
                       Workload workload = Workload::kInference) const;
+
+  /**
+   * Runs `lowered` (a LowerForReplay of `network`) on `gpu` with the
+   * measurement protocol. Profile() and MeasureE2eUs() are this replay
+   * plus lowering; the first measured batch's start/end times are
+   * recorded only when `with_timeline` is set.
+   */
+  Replay ReplayLowered(const dnn::Network& network,
+                       const LoweredNetwork& lowered, const GpuSpec& gpu,
+                       bool with_timeline = false) const;
 
  private:
   class ExpectedTimeMemo;

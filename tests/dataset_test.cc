@@ -1,12 +1,18 @@
 #include "dataset/dataset.h"
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+#include "common/string_util.h"
 #include "dataset/builder.h"
+#include "dnn/layer.h"
 #include "test_support.h"
 #include "zoo/zoo.h"
 
@@ -177,6 +183,161 @@ TEST(BuilderTest, TraceOrderGroupsLayerKernels) {
       current = key;
     }
   }
+}
+
+/** Order-sensitive digests of a dataset's pools and rows. */
+struct Digests {
+  std::uint64_t gpus = 0;
+  std::uint64_t networks = 0;
+  std::uint64_t kernels = 0;
+  std::uint64_t signatures = 0;
+  std::uint64_t kernel_rows = 0;
+  std::uint64_t network_rows = 0;
+};
+
+std::uint64_t Fold(std::uint64_t digest, std::int64_t value) {
+  return HashCombine(digest, static_cast<std::uint64_t>(value));
+}
+
+std::uint64_t Fold(std::uint64_t digest, double value) {
+  return HashCombine(digest, std::bit_cast<std::uint64_t>(value));
+}
+
+std::uint64_t PoolDigest(const StringPool& pool) {
+  std::uint64_t digest = Fold(0, std::int64_t{pool.size()});
+  for (int id = 0; id < pool.size(); ++id) {
+    digest = HashCombine(digest, StableHash(pool.Get(id)));
+  }
+  return digest;
+}
+
+Digests Digest(const Dataset& data) {
+  Digests d;
+  d.gpus = PoolDigest(data.gpus());
+  d.networks = PoolDigest(data.networks());
+  d.kernels = PoolDigest(data.kernels());
+  d.signatures = PoolDigest(data.signatures());
+  d.kernel_rows =
+      Fold(0, static_cast<std::int64_t>(data.kernel_rows().size()));
+  for (const KernelRow& row : data.kernel_rows()) {
+    std::uint64_t& k = d.kernel_rows;
+    k = Fold(k, std::int64_t{row.gpu_id});
+    k = Fold(k, std::int64_t{row.network_id});
+    k = Fold(k, std::int64_t{row.kernel_id});
+    k = Fold(k, std::int64_t{row.signature_id});
+    k = Fold(k, std::int64_t{row.layer_index});
+    k = Fold(k, static_cast<std::int64_t>(row.layer_kind));
+    k = Fold(k, static_cast<std::int64_t>(row.true_driver));
+    k = Fold(k, static_cast<std::int64_t>(row.family));
+    k = Fold(k, row.batch);
+    k = Fold(k, row.time_us);
+    k = Fold(k, row.layer_flops);
+    k = Fold(k, row.input_elems);
+    k = Fold(k, row.output_elems);
+  }
+  d.network_rows =
+      Fold(0, static_cast<std::int64_t>(data.network_rows().size()));
+  for (const NetworkRow& row : data.network_rows()) {
+    std::uint64_t& n = d.network_rows;
+    n = Fold(n, std::int64_t{row.gpu_id});
+    n = Fold(n, std::int64_t{row.network_id});
+    n = HashCombine(n, StableHash(row.family));
+    n = Fold(n, row.batch);
+    n = Fold(n, row.e2e_us);
+    n = Fold(n, row.gpu_busy_us);
+    n = Fold(n, row.total_flops);
+  }
+  return d;
+}
+
+/** One pinned build. */
+struct Golden {
+  const char* label;
+  Digests digests;
+};
+
+void ExpectMatches(const Dataset& data, const Golden& golden) {
+  const Digests got = Digest(data);
+  const std::string line = Format(
+      "{\"%s\", {0x%llxULL, 0x%llxULL, 0x%llxULL, 0x%llxULL, 0x%llxULL, "
+      "0x%llxULL}},",
+      golden.label, static_cast<unsigned long long>(got.gpus),
+      static_cast<unsigned long long>(got.networks),
+      static_cast<unsigned long long>(got.kernels),
+      static_cast<unsigned long long>(got.signatures),
+      static_cast<unsigned long long>(got.kernel_rows),
+      static_cast<unsigned long long>(got.network_rows));
+  EXPECT_EQ(got.gpus, golden.digests.gpus) << line;
+  EXPECT_EQ(got.networks, golden.digests.networks) << line;
+  EXPECT_EQ(got.kernels, golden.digests.kernels) << line;
+  EXPECT_EQ(got.signatures, golden.digests.signatures) << line;
+  EXPECT_EQ(got.kernel_rows, golden.digests.kernel_rows) << line;
+  EXPECT_EQ(got.network_rows, golden.digests.network_rows) << line;
+}
+
+TEST(BuilderTest, MatchesParentGolden) {
+  // Pinned from the builder that profiled each (GPU, network) into a
+  // NetworkProfile of KernelRecords and interned every row's kernel name:
+  // lowering once per build, the dense replay and per-list interning
+  // must reproduce its pools and rows bit for bit.
+  static constexpr Golden kGolden[] = {
+      {"all GPUs jobs=1",
+       {0xccd1fa68096ee697ULL, 0x1554d64927cf6fd7ULL, 0x8240dbe49d295ac7ULL,
+        0xf9c79ff016a96067ULL, 0x22c7a8869ffb009bULL, 0x2c4075694d8a943cULL}},
+      {"all GPUs jobs=4",
+       {0xccd1fa68096ee697ULL, 0x1554d64927cf6fd7ULL, 0x8240dbe49d295ac7ULL,
+        0xf9c79ff016a96067ULL, 0x22c7a8869ffb009bULL, 0x2c4075694d8a943cULL}},
+      {"V100 training",
+       {0x977c10e7554d8e9ULL, 0x7b3991f71ed9d15fULL, 0x3c70532fbf51d57fULL,
+        0x943c2c70fd0a8b5ULL, 0x8027207490281e58ULL, 0x4534369604d1969dULL}},
+      {"flatten/dropout zoo",
+       {0xd4470388e5af6276ULL, 0x4480f38b6bd06fa8ULL, 0xff10616c0c802769ULL,
+        0x2019092a18b09acdULL, 0xfebba504ecd082d2ULL, 0x4489033a4d63689ULL}},
+  };
+  const std::vector<dnn::Network> networks = zoo::SmallZoo(16);
+
+  BuildOptions all_gpus;
+  all_gpus.jobs = 1;
+  ExpectMatches(BuildDataset(networks, all_gpus), kGolden[0]);
+  all_gpus.jobs = 4;
+  ExpectMatches(BuildDataset(networks, all_gpus), kGolden[1]);
+
+  BuildOptions training;
+  training.gpu_names = {"V100"};
+  training.batch = 32;
+  training.workload = gpuexec::Workload::kTraining;
+  training.jobs = 1;
+  ExpectMatches(BuildDataset({networks.begin(), networks.begin() + 12},
+                             training),
+                kGolden[2]);
+
+  // Flatten and Dropout launch no kernels, so no row ever carries their
+  // signatures and they are never interned. The P620 cannot hold every
+  // network at batch 512, so the OOM filter skips some of its items.
+  std::vector<dnn::Network> classic;
+  for (const char* name :
+       {"alexnet", "vgg11", "mobilenet_v2", "squeezenet1_0"}) {
+    classic.push_back(zoo::BuildByName(name));
+  }
+  BuildOptions flat;
+  flat.gpu_names = {"Quadro P620", "A100"};
+  flat.jobs = 2;
+  const Dataset data = BuildDataset(classic, flat);
+  ExpectMatches(data, kGolden[3]);
+  EXPECT_LT(data.network_rows().size(), 2 * classic.size());
+  int silent_layers = 0;
+  for (const dnn::Network& network : classic) {
+    for (const dnn::Layer& layer : network.layers()) {
+      if (layer.kind != dnn::LayerKind::kFlatten &&
+          layer.kind != dnn::LayerKind::kDropout) {
+        continue;
+      }
+      ++silent_layers;
+      EXPECT_EQ(data.signatures().Find(dnn::LayerSignature(layer)), -1)
+          << network.name() << " " << layer.name;
+    }
+  }
+  EXPECT_GT(silent_layers, 0);
 }
 
 }  // namespace

@@ -86,9 +86,24 @@ TEST_F(ProfilerTest, ProfileIsDeterministic) {
 }
 
 TEST_F(ProfilerTest, MeasureE2eAgreesWithProfile) {
-  NetworkProfile profile = profiler_.Profile(net_, a100_, 64);
-  EXPECT_DOUBLE_EQ(profiler_.MeasureE2eUs(net_, a100_, 64),
-                   profile.e2e_time_us);
+  // Bit for bit: both run the one replay, MeasureE2eUs only skips the
+  // records and the first batch's timeline.
+  const GpuSpec titan_1344 = GpuByName("TITAN RTX").WithBandwidth(1344);
+  const struct {
+    const GpuSpec* gpu;
+    Workload workload;
+  } kCases[] = {{&a100_, Workload::kInference},
+                {&a100_, Workload::kTraining},
+                {&titan_1344, Workload::kInference}};
+  for (const auto& c : kCases) {
+    const NetworkProfile profile = profiler_.Profile(net_, *c.gpu, 64,
+                                                     c.workload);
+    EXPECT_EQ(
+        std::bit_cast<std::uint64_t>(
+            profiler_.MeasureE2eUs(net_, *c.gpu, 64, c.workload)),
+        std::bit_cast<std::uint64_t>(profile.e2e_time_us))
+        << c.gpu->name << " workload " << static_cast<int>(c.workload);
+  }
 }
 
 TEST_F(ProfilerTest, SmallBatchIsLaunchBound) {

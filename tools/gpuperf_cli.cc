@@ -345,6 +345,28 @@ int BuildDriftSchedule(const Flags& flags,
 }
 
 /** The dispatch policies a --policy value sweeps. */
+/**
+ * The oracle's e2e time of every (network, GPU) cell at `batch` — what
+ * MeasureE2eUs reports, with each network lowered once for all GPUs.
+ */
+std::vector<std::vector<double>> TruthMatrix(
+    const std::vector<dnn::Network>& networks,
+    const std::vector<const gpuexec::GpuSpec*>& gpus, std::int64_t batch) {
+  const gpuexec::HardwareOracle oracle;
+  const gpuexec::Profiler profiler(oracle);
+  std::vector<std::vector<double>> truth;
+  for (const dnn::Network& network : networks) {
+    const gpuexec::LoweredNetwork lowered =
+        gpuexec::LowerForReplay(network, batch);
+    std::vector<double> t;
+    for (const gpuexec::GpuSpec* gpu : gpus) {
+      t.push_back(profiler.ReplayLowered(network, lowered, *gpu).e2e_time_us);
+    }
+    truth.push_back(std::move(t));
+  }
+  return truth;
+}
+
 std::vector<simsys::DispatchPolicy> PoliciesFor(const std::string& name) {
   if (name == "round-robin") return {simsys::DispatchPolicy::kRoundRobin};
   if (name == "least-outstanding") {
@@ -399,16 +421,9 @@ int CmdServeSim(const Flags& flags) {
     }
   }
   const std::shared_ptr<const models::KwModel> kw = registry.Snapshot();
-  gpuexec::HardwareOracle oracle;
-  gpuexec::Profiler profiler(oracle);
-  std::vector<std::vector<double>> truth, predicted;
-  for (const dnn::Network& network : networks) {
-    std::vector<double> t;
-    for (const gpuexec::GpuSpec* gpu : gpus) {
-      t.push_back(profiler.MeasureE2eUs(network, *gpu, batch));
-    }
-    truth.push_back(std::move(t));
-  }
+  const std::vector<std::vector<double>> truth =
+      TruthMatrix(networks, gpus, batch);
+  std::vector<std::vector<double>> predicted;
   if (kw != nullptr) {
     // One batched PredictMany sweep over compiled plans fills the whole
     // matrix; uncovered (network, GPU) cells come back NaN, so those
@@ -700,16 +715,8 @@ int CmdChaos(const Flags& flags) {
   // Truth from the hardware oracle; predictions are the same matrix —
   // the oracle as its own predictor — so a hedge fires exactly when a
   // chaos slowdown pushes a job past hedge_trigger_factor x truth.
-  gpuexec::HardwareOracle oracle;
-  gpuexec::Profiler profiler(oracle);
-  std::vector<std::vector<double>> truth;
-  for (const dnn::Network& network : networks) {
-    std::vector<double> t;
-    for (const gpuexec::GpuSpec* gpu : gpus) {
-      t.push_back(profiler.MeasureE2eUs(network, *gpu, batch));
-    }
-    truth.push_back(std::move(t));
-  }
+  const std::vector<std::vector<double>> truth =
+      TruthMatrix(networks, gpus, batch);
   const std::vector<std::vector<double>>& predicted = truth;
   const std::vector<double> mix(networks.size(), 1.0);
 
@@ -891,16 +898,8 @@ int CmdDriftReport(const Flags& flags) {
   const Status promoted = registry.TryPromote(model_dir, canary);
   if (!promoted.ok()) return UserError(promoted);
 
-  gpuexec::HardwareOracle oracle;
-  gpuexec::Profiler profiler(oracle);
-  std::vector<std::vector<double>> truth;
-  for (const dnn::Network& network : networks) {
-    std::vector<double> t;
-    for (const gpuexec::GpuSpec* gpu : gpus) {
-      t.push_back(profiler.MeasureE2eUs(network, *gpu, batch));
-    }
-    truth.push_back(std::move(t));
-  }
+  const std::vector<std::vector<double>> truth =
+      TruthMatrix(networks, gpus, batch);
   const std::vector<double> mix(networks.size(), 1.0);
 
   models::LifecycleOptions lifecycle;
