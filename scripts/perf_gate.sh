@@ -20,8 +20,15 @@
 #                               A100 dataset: mapping table, samples,
 #                               driver classification, clustering, LW
 #                               fallback, calibration and table
-#                               resolution.
+#                               resolution;
+#   BM_ServingChaosLongHorizon  one arrival of a 240 s chaos serving run
+#                               (bench_speed_simsys): the event loop,
+#                               dispatch, fault/chaos cursors and the
+#                               latency percentiles.
 #
+# A row names the google-benchmark binary under <build_dir>/bench/ that
+# runs it in an optional third field; the default is
+# bench_speed_predictor.
 # The baselines are deliberately loose — a regression tripwire for
 # "someone put a hash lookup / allocation back into the per-query loop"
 # (a >=10x slip), not a precision benchmark. Machine-to-machine noise of
@@ -39,7 +46,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
 BASELINE_FILE="bench/perf_gate_baseline.txt"
-BENCH="./$BUILD/bench/bench_speed_predictor"
+DEFAULT_BENCH="bench_speed_predictor"
 FACTOR="${GPUPERF_PERF_GATE_FACTOR:-2}"
 
 case "$FACTOR" in
@@ -54,35 +61,48 @@ if [ ! -f "$BASELINE_FILE" ]; then
        "restore it from git (it pins the ns/query references)" >&2
   exit 1
 fi
-# One "<benchmark> <ns/query>" row per non-comment line.
+# One "<benchmark> <ns/query> [bench binary]" row per non-comment line.
 NAMES=()
 BASELINES=()
-while read -r name ns extra; do
+BINARIES=()
+while read -r name ns binary extra; do
   case "$name" in ''|'#'*) continue ;; esac
-  if [[ "$name" != BM_* || ! "$ns" =~ ^[1-9][0-9]*$ || -n "$extra" ]]; then
+  binary="${binary:-$DEFAULT_BENCH}"
+  if [[ "$name" != BM_* || ! "$ns" =~ ^[1-9][0-9]*$ ||
+        ! "$binary" =~ ^bench_[a-z0-9_]+$ || -n "$extra" ]]; then
     echo "perf_gate: FAIL — baseline file '$BASELINE_FILE' rows must be" \
-         "'<BM_name> <positive integer ns/query>', got '$name $ns $extra'" >&2
+         "'<BM_name> <positive integer ns/query> [bench_<binary>]', got" \
+         "'$name $ns $binary $extra'" >&2
     exit 1
   fi
   NAMES+=("$name")
   BASELINES+=("$ns")
+  BINARIES+=("$binary")
 done < "$BASELINE_FILE"
 if [ "${#NAMES[@]}" -eq 0 ]; then
   echo "perf_gate: FAIL — baseline file '$BASELINE_FILE' has no rows" >&2
   exit 1
 fi
 
+# Each binary once, with a filter naming all of its rows.
+declare -A CSV
 cmake -B "$BUILD" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build "$BUILD" -j --target bench_speed_predictor >/dev/null || true
-if [ ! -x "$BENCH" ]; then
-  echo "perf_gate: FAIL — Release bench binary '$BENCH' is missing;" \
-       "build it with: cmake --build $BUILD --target bench_speed_predictor" >&2
-  exit 1
-fi
-
-FILTER="^($(IFS='|'; echo "${NAMES[*]}"))\$"
-CSV="$("$BENCH" --benchmark_filter="$FILTER" --benchmark_min_time=0.5 \
-  --benchmark_format=csv 2>/dev/null || true)"
+for binary in $(printf '%s\n' "${BINARIES[@]}" | sort -u); do
+  bench="./$BUILD/bench/$binary"
+  cmake --build "$BUILD" -j --target "$binary" >/dev/null || true
+  if [ ! -x "$bench" ]; then
+    echo "perf_gate: FAIL — Release bench binary '$bench' is missing;" \
+         "build it with: cmake --build $BUILD --target $binary" >&2
+    exit 1
+  fi
+  names=()
+  for i in "${!NAMES[@]}"; do
+    if [ "${BINARIES[$i]}" = "$binary" ]; then names+=("${NAMES[$i]}"); fi
+  done
+  filter="^($(IFS='|'; echo "${names[*]}"))\$"
+  CSV[$binary]="$("$bench" --benchmark_filter="$filter" \
+    --benchmark_min_time=0.5 --benchmark_format=csv 2>/dev/null || true)"
+done
 
 FAILED=0
 for i in "${!NAMES[@]}"; do
@@ -91,11 +111,12 @@ for i in "${!NAMES[@]}"; do
   max=$((baseline * FACTOR))
   # CSV columns: name,iterations,real_time,cpu_time,time_unit,
   # bytes_per_second,items_per_second,... items_per_second is queries/s.
-  row="$(echo "$CSV" | grep "^\"$name\"," || true)"
+  row="$(echo "${CSV[${BINARIES[$i]}]}" | grep "^\"$name\"," || true)"
   ns="$(echo "$row" | awk -F, '$7 > 0 {printf "%.0f", 1e9 / $7}')"
   if [ -z "$ns" ]; then
     echo "perf_gate: FAIL — $name did not run or reported no" \
-         "items_per_second; check it still exists in $BENCH" >&2
+         "items_per_second; check it still exists in" \
+         "$BUILD/bench/${BINARIES[$i]}" >&2
     FAILED=1
     continue
   fi

@@ -61,23 +61,27 @@ const std::vector<DownInterval>& FaultPlan::Outages(
   return down_[resource];
 }
 
+void OutageCursor::SeekTo(double now_us) {
+  // First outage ending after now_us: where AdvanceTo stops.
+  next_ = static_cast<std::size_t>(
+      std::upper_bound(
+          outages_->begin(), outages_->end(), now_us,
+          [](double t, const DownInterval& o) { return t < o.up_us; }) -
+      outages_->begin());
+}
+
 bool FaultPlan::IsDownAt(std::size_t resource, double time_us) const {
-  const DownInterval* outage =
-      FirstOutageIn(resource, time_us, time_us + 1e-9);
-  return outage != nullptr && outage->down_us <= time_us;
+  OutageCursor cursor(Outages(resource));
+  cursor.SeekTo(time_us);
+  return cursor.IsDownAt(time_us);
 }
 
 const DownInterval* FaultPlan::FirstOutageIn(std::size_t resource,
                                              double start_us,
                                              double end_us) const {
-  GP_CHECK_LT(resource, down_.size());
-  const std::vector<DownInterval>& outages = down_[resource];
-  // First outage ending after start; it overlaps iff it begins before end.
-  auto it = std::upper_bound(
-      outages.begin(), outages.end(), start_us,
-      [](double t, const DownInterval& o) { return t < o.up_us; });
-  if (it == outages.end() || it->down_us >= end_us) return nullptr;
-  return &*it;
+  OutageCursor cursor(Outages(resource));
+  cursor.SeekTo(start_us);
+  return cursor.FirstOutageIn(start_us, end_us);
 }
 
 double FaultPlan::Availability(std::size_t resource) const {
@@ -265,13 +269,7 @@ const std::vector<SlowInterval>& ChaosPlan::Slowdowns(std::size_t gpu) const {
 }
 
 double ChaosPlan::SlowdownAt(std::size_t gpu, double time_us) const {
-  GP_CHECK_LT(gpu, slow_.size());
-  double factor = 1;
-  for (const SlowInterval& s : slow_[gpu]) {
-    if (s.start_us > time_us) break;
-    if (time_us < s.end_us) factor *= s.factor;
-  }
-  return factor;
+  return SlowdownCursor(Slowdowns(gpu)).SlowdownAt(time_us);
 }
 
 bool ChaosPlan::empty() const {

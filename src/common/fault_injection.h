@@ -41,6 +41,101 @@ struct SlowInterval {
   double factor = 1;  // > 1
 };
 
+/**
+ * A position in one resource's outage list (sorted, disjoint), for
+ * callers whose clock never goes back: a simulation moves it forward
+ * with AdvanceTo(now), past the outages that ended by `now`, and then
+ * asks about `now` or any later time without a binary search.
+ * FaultPlan's random-access queries position a cursor with SeekTo and
+ * run the same query code, so the two entry points agree bit for bit.
+ */
+class OutageCursor {
+ public:
+  /** A cursor before every outage of `outages`, which must outlive it. */
+  explicit OutageCursor(const std::vector<DownInterval>& outages)
+      : outages_(&outages) {}
+
+  /** Skips the outages that ended by `now_us`; `now_us` must never
+   *  decrease from one call (or SeekTo) to the next. */
+  void AdvanceTo(double now_us) {
+    while (next_ < outages_->size() && (*outages_)[next_].up_us <= now_us) {
+      ++next_;
+    }
+  }
+
+  /** Moves to where AdvanceTo(`now_us`) would from the start, by binary
+   *  search — for callers whose query times may go back. */
+  void SeekTo(double now_us);
+
+  /** True if the resource is down at `time_us` (>= the position). */
+  bool IsDownAt(double time_us) const {
+    // The window end rounds to `time_us` itself once time_us > ~1.7e7,
+    // so from there an outage that begins exactly at `time_us` reads as
+    // up; the serving results are pinned to this exact test.
+    const DownInterval* outage = FirstOutageIn(time_us, time_us + 1e-9);
+    return outage != nullptr && outage->down_us <= time_us;
+  }
+
+  /** The first outage overlapping [start_us, end_us) (start_us >= the
+   *  position), or nullptr if the resource stays up for the window. */
+  const DownInterval* FirstOutageIn(double start_us, double end_us) const {
+    // First outage ending after start; it overlaps iff it begins before
+    // end. Outage ends are ascending, so the scan never passes it.
+    std::size_t i = next_;
+    while (i < outages_->size() && (*outages_)[i].up_us <= start_us) ++i;
+    if (i == outages_->size() || (*outages_)[i].down_us >= end_us) {
+      return nullptr;
+    }
+    return &(*outages_)[i];
+  }
+
+ private:
+  const std::vector<DownInterval>* outages_;
+  std::size_t next_ = 0;  // first outage not known to have ended
+};
+
+/**
+ * A position in one GPU's slowdown list (sorted by start_us, possibly
+ * overlapping), moved forward like OutageCursor: AdvanceTo(now) skips
+ * the leading episodes that all ended by `now`. ChaosPlan::SlowdownAt
+ * runs the same product from the list's start.
+ */
+class SlowdownCursor {
+ public:
+  /** A cursor before every episode of `slowdowns`, which must outlive
+   *  it. */
+  explicit SlowdownCursor(const std::vector<SlowInterval>& slowdowns)
+      : slowdowns_(&slowdowns) {}
+
+  /** Skips the leading episodes that ended by `now_us`; `now_us` must
+   *  never decrease from one call to the next. */
+  void AdvanceTo(double now_us) {
+    while (next_ < slowdowns_->size() &&
+           (*slowdowns_)[next_].end_us <= now_us) {
+      ++next_;
+    }
+  }
+
+  /**
+   * Product of the factors of every episode containing `time_us`
+   * (>= the position), multiplied in list order. A skipped episode
+   * ended by the position, so it could not contain `time_us`.
+   */
+  double SlowdownAt(double time_us) const {
+    double factor = 1;
+    for (std::size_t i = next_; i < slowdowns_->size(); ++i) {
+      const SlowInterval& s = (*slowdowns_)[i];
+      if (s.start_us > time_us) break;
+      if (time_us < s.end_us) factor *= s.factor;
+    }
+    return factor;
+  }
+
+ private:
+  const std::vector<SlowInterval>* slowdowns_;
+  std::size_t next_ = 0;  // every episode before it ended by the position
+};
+
 /** The precomputed failure/recovery timeline of a resource pool. */
 class FaultPlan {
  public:
@@ -71,12 +166,14 @@ class FaultPlan {
   /** Outages of `resource`, sorted by down_us. */
   const std::vector<DownInterval>& Outages(std::size_t resource) const;
 
-  /** True if `resource` is down at `time_us`. */
+  /** True if `resource` is down at `time_us`. Random access; a caller
+   *  whose clock only moves forward can use an OutageCursor instead. */
   bool IsDownAt(std::size_t resource, double time_us) const;
 
   /**
    * The first outage of `resource` overlapping [start_us, end_us), or
-   * nullptr if the resource stays up for the whole window.
+   * nullptr if the resource stays up for the whole window. Random
+   * access, like IsDownAt.
    */
   const DownInterval* FirstOutageIn(std::size_t resource, double start_us,
                                     double end_us) const;
@@ -157,7 +254,13 @@ class ChaosPlan {
   /** Gray episodes of `gpu`, sorted by start_us (may overlap). */
   const std::vector<SlowInterval>& Slowdowns(std::size_t gpu) const;
 
-  /** Product of the factors of every episode containing `time_us`. */
+  /**
+   * Product of the factors of every episode containing `time_us`: a
+   * SlowdownCursor's product from the first episode. Episodes may
+   * overlap, so their ends are not sorted and there is no binary search
+   * for a later start; a caller whose clock only moves forward keeps a
+   * SlowdownCursor instead.
+   */
   double SlowdownAt(std::size_t gpu, double time_us) const;
 
   /** True if no channel produced any outage or slowdown. */

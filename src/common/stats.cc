@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "common/logging.h"
 
@@ -32,19 +33,89 @@ double GeoMean(const std::vector<double>& values) {
   return std::exp(log_sum / static_cast<double>(values.size()));
 }
 
-double Percentile(std::vector<double> values, double p) {
-  GP_CHECK(!values.empty());
+PercentileRank RankOfPercentile(std::size_t count, double p) {
+  GP_CHECK_GT(count, 0u);
   GP_CHECK_GE(p, 0.0);
   GP_CHECK_LE(p, 100.0);
+  const double rank = p / 100.0 * static_cast<double>(count - 1);
+  const std::size_t lo = static_cast<std::size_t>(rank);
+  return {lo, std::min(lo + 1, count - 1), rank - static_cast<double>(lo)};
+}
+
+namespace {
+
+void CheckNoNan(const std::vector<double>& values) {
   for (double v : values) {
     GP_CHECK(!std::isnan(v)) << "Percentile input contains NaN";
   }
+}
+
+}  // namespace
+
+double Percentile(std::vector<double> values, double p) {
+  GP_CHECK(!values.empty());
+  const PercentileRank rank = RankOfPercentile(values.size(), p);
+  CheckNoNan(values);
   std::sort(values.begin(), values.end());
-  double rank = p / 100.0 * static_cast<double>(values.size() - 1);
-  std::size_t lo = static_cast<std::size_t>(rank);
-  std::size_t hi = std::min(lo + 1, values.size() - 1);
-  double frac = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
+  return rank.Interpolate(values[rank.lo], values[rank.hi]);
+}
+
+std::vector<double> SelectPercentiles(std::vector<double>* values,
+                                      const std::vector<double>& ps) {
+  GP_CHECK(!values->empty());
+  CheckNoNan(*values);
+  std::vector<double> result;
+  result.reserve(ps.size());
+  // Every value before `unplaced` is in its sorted position and no
+  // larger than any value from `unplaced` on.
+  auto unplaced = values->begin();
+  double previous_p = 0;
+  for (double p : ps) {
+    GP_CHECK_GE(p, previous_p) << "percentiles must be ascending";
+    previous_p = p;
+    const PercentileRank rank = RankOfPercentile(values->size(), p);
+    const auto lo = values->begin() + static_cast<std::ptrdiff_t>(rank.lo);
+    if (lo >= unplaced) {
+      std::nth_element(unplaced, lo, values->end());
+      unplaced = lo + 1;
+    }
+    const double hi_value =
+        rank.hi == rank.lo ? *lo : *std::min_element(lo + 1, values->end());
+    result.push_back(rank.Interpolate(*lo, hi_value));
+  }
+  return result;
+}
+
+RunningPercentile::RunningPercentile(double p) : p_(p) {
+  GP_CHECK_GE(p, 0.0);
+  GP_CHECK_LE(p, 100.0);
+}
+
+void RunningPercentile::Add(double value) {
+  GP_CHECK(!std::isnan(value)) << "Percentile input contains NaN";
+  if (lower_.empty() || value <= lower_.top()) {
+    lower_.push(value);
+  } else {
+    upper_.push(value);
+  }
+  // Rebalance so the lower heap holds exactly the lo + 1 smallest; lo
+  // moves by at most one per added value.
+  const std::size_t want = RankOfPercentile(size(), p_).lo + 1;
+  while (lower_.size() > want) {
+    upper_.push(lower_.top());
+    lower_.pop();
+  }
+  while (lower_.size() < want) {
+    lower_.push(upper_.top());
+    upper_.pop();
+  }
+}
+
+double RunningPercentile::Value() const {
+  const PercentileRank rank = RankOfPercentile(size(), p_);
+  const double lo_value = lower_.top();
+  return rank.Interpolate(lo_value,
+                          rank.hi == rank.lo ? lo_value : upper_.top());
 }
 
 double HistogramQuantile(const std::vector<double>& upper_bounds,

@@ -12,6 +12,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <queue>
 #include <vector>
 
 namespace gpuperf {
@@ -26,10 +28,68 @@ double StdDev(const std::vector<double>& values);
 double GeoMean(const std::vector<double>& values);
 
 /**
+ * Where percentile p in [0, 100] falls among `count` sorted values: the
+ * percentile interpolates between the sorted values at `lo` and `hi`.
+ * Percentile, SelectPercentiles and RunningPercentile all go through
+ * it, so they agree bit for bit.
+ */
+struct PercentileRank {
+  std::size_t lo;  // sorted index at or below the rank
+  std::size_t hi;  // lo + 1, or lo when lo is the last index
+  double frac;     // weight of the value at hi
+
+  /** The percentile, given the sorted values at `lo` and `hi`. */
+  double Interpolate(double lo_value, double hi_value) const {
+    return lo_value * (1.0 - frac) + hi_value * frac;
+  }
+};
+
+/** The rank of percentile `p` among `count` > 0 values (CHECKed, like
+ *  0 <= p <= 100). */
+PercentileRank RankOfPercentile(std::size_t count, double p);
+
+/**
  * Linear-interpolated percentile, p in [0, 100]. Requires a non-empty
  * input with no NaNs (both are programmer-error CHECKs).
  */
 double Percentile(std::vector<double> values, double p);
+
+/**
+ * Percentile(*values, p) for each p of the ascending `ps`, bit for bit,
+ * by selection instead of a full sort: one std::nth_element per rank
+ * over a shrinking suffix, then the minimum above it. Reorders
+ * `*values`; same requirements as Percentile.
+ */
+std::vector<double> SelectPercentiles(std::vector<double>* values,
+                                      const std::vector<double>& ps);
+
+/**
+ * Percentile(values, p) of a growing multiset, kept current as values
+ * arrive: two heaps split at the rank's `lo`, so the value at `lo` is the
+ * lower heap's maximum and the value at `hi` the upper heap's minimum.
+ * Add costs O(log n), Value O(1), and Value is bit-identical to
+ * Percentile over every value added so far.
+ */
+class RunningPercentile {
+ public:
+  /** Tracks percentile `p` in [0, 100]. */
+  explicit RunningPercentile(double p);
+
+  /** Adds one value (not NaN). */
+  void Add(double value);
+
+  /** Values added so far. */
+  std::size_t size() const { return lower_.size() + upper_.size(); }
+
+  /** The percentile of the values added so far (size() > 0). */
+  double Value() const;
+
+ private:
+  double p_;
+  std::priority_queue<double> lower_;  // the lo + 1 smallest values
+  std::priority_queue<double, std::vector<double>, std::greater<double>>
+      upper_;  // the rest
+};
 
 /**
  * Interpolated quantile of a fixed-bucket histogram, p in [0, 100] —

@@ -7,6 +7,7 @@
  */
 
 #include <charconv>
+#include <cmath>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -57,6 +58,17 @@ inline void AppendUint(std::string& out, unsigned long long value) {
 
 /** Appends `value` as "%g" (six significant digits). */
 inline void AppendGeneral(std::string& out, double value) {
+  // "%g" prints a whole number of magnitude below 1e6 as its decimal
+  // digits — every full-window rate_per_s is one — so skip to_chars'
+  // shortest-digits search for it. -0.0 still goes below and prints -0.
+  if (value > -1e6 && value < 1e6) {
+    const auto whole = static_cast<long long>(value);
+    if (static_cast<double>(whole) == value &&
+        (whole != 0 || !std::signbit(value))) {
+      AppendInt(out, whole);
+      return;
+    }
+  }
   // Longest "%g" output is 13 bytes ("-1.23457e-308"), or "-nan".
   char text[24];
   out.append(text, std::to_chars(text, text + sizeof(text), value,

@@ -45,7 +45,7 @@ DataParallelResult SimulateDataParallelStep(
     // each layer's gradient bucket enters the (serialized) fabric as soon
     // as its backward finishes. The effective all-reduce of a bucket is
     // modeled as one fabric transfer of its ring volume plus ring latency.
-    EventQueue queue;
+    EventQueue<> queue;
     // Fabric "link" carries the ring traffic of this replica.
     NetworkLink fabric(&queue, config.link_bandwidth_gbps,
                        2.0 * (config.num_gpus - 1) * config.link_latency_us);

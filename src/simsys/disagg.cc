@@ -9,7 +9,7 @@ namespace {
 
 /** Shared mutable state of the prefetcher/compute co-simulation. */
 struct SimState {
-  EventQueue queue;
+  EventQueue<> queue;
   NetworkLink link;
   const std::vector<double>& compute_us;
   const std::vector<std::int64_t>& weight_bytes;

@@ -6,7 +6,7 @@
 
 namespace gpuperf::simsys {
 
-NetworkLink::NetworkLink(EventQueue* queue, double bandwidth_gbps,
+NetworkLink::NetworkLink(EventQueue<>* queue, double bandwidth_gbps,
                          double latency_us)
     : queue_(queue), bandwidth_gbps_(bandwidth_gbps),
       latency_us_(latency_us) {

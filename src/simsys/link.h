@@ -23,7 +23,7 @@ class NetworkLink {
    * @param bandwidth_gbps Link bandwidth in GB/s.
    * @param latency_us One-way latency added to every transfer.
    */
-  NetworkLink(EventQueue* queue, double bandwidth_gbps, double latency_us);
+  NetworkLink(EventQueue<>* queue, double bandwidth_gbps, double latency_us);
 
   /** Enqueues a transfer; `on_complete` fires when the last byte lands. */
   void Transfer(std::int64_t bytes, std::function<void()> on_complete);
@@ -35,7 +35,7 @@ class NetworkLink {
   double busy_us() const { return busy_us_; }
 
  private:
-  EventQueue* queue_;
+  EventQueue<>* queue_;
   double bandwidth_gbps_;
   double latency_us_;
   double free_at_us_ = 0;

@@ -155,13 +155,42 @@ struct Arrival {
   std::size_t job;
 };
 
+/** What a serving event does when it fires; Sim::Fire switches on it. */
+enum class EventKind : std::uint8_t {
+  kArrival,        // first dispatch of arrival `id`
+  kRetry,          // dispatch attempt `attempt` after a backoff
+  kHedgeCheck,     // the hedge trigger of the leg on `gpu`
+  kLegFailure,     // the leg on `gpu` dies under an outage
+  kLegCompletion,  // the winning leg on `gpu` completes
+  kLegCancel,      // the losing leg on `gpu` is cancelled
+};
+
+/**
+ * One scheduled serving event: a plain record, so scheduling it costs
+ * no allocation. A leg event carries the whole leg — the job attempt,
+ * its GPU and timeline — and each kind's handler reads what it needs.
+ */
+struct ServeEvent {
+  EventKind kind = EventKind::kArrival;
+  bool flag = false;  // kHedgeCheck: the primary leg fails;
+                      // kLegFailure: the job re-enters the retry path
+  int attempt = 0;
+  std::size_t id = 0;  // the arrival's index
+  std::size_t job = 0;
+  std::size_t gpu = 0;
+  double arrival = 0;  // the job's arrival time
+  double leg_start = 0;
+  double service = 0;
+  double leg_end = 0;
+};
+
 /** Mutable simulation state shared by the event handlers. */
 struct Sim {
   const std::vector<std::vector<double>>& truth;
   const std::vector<std::vector<double>>& predicted;  // empty = no model
   const ServingConfig& config;
   std::size_t gpus;
-  EventQueue queue;
+  EventQueue<ServeEvent> queue;
   FaultPlan plan;
 
   // Per-GPU FIFO: when the GPU frees up (true time) and its predicted
@@ -186,12 +215,18 @@ struct Sim {
   std::vector<char> live_scratch;
   std::vector<std::size_t> candidate_scratch;
 
-  // Gray-failure resilience state. `chaos` is borrowed (nullptr = no
-  // chaos); `retry_tokens` is the per-simulation retry token bucket;
-  // `observed_service_us` feeds the adaptive detection timeout.
-  const ChaosPlan* chaos = nullptr;
+  // Per-GPU cursors over the outage plan and, with chaos on, the
+  // slowdown timeline (empty = no chaos). Sim time never goes back, and
+  // every query asks about now or a leg start, which is never before
+  // now, so each cursor only moves forward (Outages, Slowdowns).
+  std::vector<OutageCursor> outage_cursors;
+  std::vector<SlowdownCursor> slowdown_cursors;
+
+  // Gray-failure resilience state: the per-simulation retry token
+  // bucket and, with adaptive detection on, the running quantile of
+  // observed service times that sets the detection timeout.
   double retry_tokens = 0;
-  std::vector<double> observed_service_us;
+  RunningPercentile service_quantile;
 
   // Optional sim-time lifecycle recording; null = tracing off. Track 0
   // is the dispatcher (shed/drop/retry instants), track g+1 is GPU g
@@ -221,7 +256,8 @@ struct Sim {
 
   Sim(const std::vector<std::vector<double>>& truth_in,
       const std::vector<std::vector<double>>& predicted_in,
-      const ServingConfig& config_in, std::size_t gpus_in, FaultPlan plan_in)
+      const ServingConfig& config_in, std::size_t gpus_in, FaultPlan plan_in,
+      const ChaosPlan* chaos)
       : truth(truth_in),
         predicted(predicted_in),
         config(config_in),
@@ -232,25 +268,76 @@ struct Sim {
         gpu_outstanding(gpus_in, 0),
         gpu_busy(gpus_in, 0.0),
         breakers(gpus_in, CircuitBreaker(config_in.breaker)),
-        live_scratch(gpus_in, 0) {
+        live_scratch(gpus_in, 0),
+        service_quantile(config_in.adaptive_detect_quantile * 100) {
     candidate_scratch.reserve(gpus_in);
+    for (std::size_t g = 0; g < gpus_in; ++g) {
+      outage_cursors.emplace_back(plan.Outages(g));
+      if (chaos != nullptr) slowdown_cursors.emplace_back(chaos->Slowdowns(g));
+    }
+  }
+
+  /** GPU `g`'s outage cursor, moved up to the current sim time. */
+  const OutageCursor& Outages(std::size_t g) {
+    outage_cursors[g].AdvanceTo(queue.NowUs());
+    return outage_cursors[g];
+  }
+
+  /** GPU `g`'s slowdown cursor (chaos on), moved up to the current sim
+   *  time. */
+  const SlowdownCursor& Slowdowns(std::size_t g) {
+    slowdown_cursors[g].AdvanceTo(queue.NowUs());
+    return slowdown_cursors[g];
   }
 
   /**
    * Queues arrival `i` under reserved sequence first_arrival_sequence +
    * i, the key it would have had if every arrival were pre-scheduled.
-   * When it fires it first queues arrival i + 1 — whose key is larger
-   * than the one firing, so no later event can have fired yet — and
-   * then dispatches. The capture fits std::function's inline buffer, so
-   * an arrival costs no allocation.
    */
   void ScheduleArrival(std::size_t i) {
     const std::int64_t sequence =
         first_arrival_sequence + static_cast<std::int64_t>(i);
-    queue.ScheduleReserved(arrivals[i].at_us, sequence, [this, i] {
-      if (i + 1 < arrivals.size()) ScheduleArrival(i + 1);
-      Dispatch(i, arrivals[i].job, arrivals[i].at_us, /*attempt=*/0);
-    });
+    queue.ScheduleReserved(arrivals[i].at_us, sequence,
+                           {.kind = EventKind::kArrival,
+                            .id = i,
+                            .job = arrivals[i].job,
+                            .arrival = arrivals[i].at_us});
+  }
+
+  /** Schedules `leg` to fire as `kind` at `at_us`, with `flag`. */
+  void ScheduleLeg(EventKind kind, ServeEvent leg, double at_us,
+                   bool flag = false) {
+    leg.kind = kind;
+    leg.flag = flag;
+    queue.Schedule(at_us, leg);
+  }
+
+  /** Fires one event: the one place an event kind is handled. */
+  void Fire(const ServeEvent& event) {
+    switch (event.kind) {
+      case EventKind::kArrival:
+        // Queue the next arrival first: its key is larger than the one
+        // firing, so no later event can have fired yet.
+        if (event.id + 1 < arrivals.size()) ScheduleArrival(event.id + 1);
+        Dispatch(event.id, event.job, event.arrival, /*attempt=*/0);
+        return;
+      case EventKind::kRetry:
+        Dispatch(event.id, event.job, event.arrival, event.attempt);
+        return;
+      case EventKind::kHedgeCheck:
+        HedgeCheck(event);
+        return;
+      case EventKind::kLegFailure:
+        LegFailed(event);
+        return;
+      case EventKind::kLegCompletion:
+        LegCompleted(event);
+        return;
+      case EventKind::kLegCancel:
+        LegCancelled(event);
+        return;
+    }
+    GP_CHECK(false);
   }
 
   /**
@@ -264,13 +351,12 @@ struct Sim {
   double DetectTimeoutMs() const {
     const RetryPolicy& r = config.retry;
     if (config.adaptive_detect_quantile <= 0 ||
-        observed_service_us.size() < 8) {
+        service_quantile.size() < 8) {
       return r.detect_timeout_ms;
     }
-    const double quantile_us = Percentile(
-        observed_service_us, config.adaptive_detect_quantile * 100);
     return std::max(r.detect_timeout_ms,
-                    quantile_us * config.adaptive_detect_multiplier / 1e3);
+                    service_quantile.Value() *
+                        config.adaptive_detect_multiplier / 1e3);
   }
 
   /** Delay before re-dispatching after the `attempt`-th failure (0-based):
@@ -300,11 +386,12 @@ struct Sim {
   }
 
   /** Drifted service time with the chaos slowdown sampled at `start`
-   *  applied for the leg's whole duration. */
-  double ServiceTime(std::size_t job, std::size_t target,
-                     double start) const {
+   *  (>= now) applied for the leg's whole duration. */
+  double ServiceTime(std::size_t job, std::size_t target, double start) {
     double service = DriftedService(job, target, start);
-    if (chaos != nullptr) service *= chaos->SlowdownAt(target, start);
+    if (!slowdown_cursors.empty()) {
+      service *= Slowdowns(target).SlowdownAt(start);
+    }
     return service;
   }
 
@@ -336,7 +423,7 @@ struct Sim {
     candidates.clear();
     bool any_live = false;
     for (std::size_t g = 0; g < gpus; ++g) {
-      if (plan.IsDownAt(g, now) || !breakers[g].AllowsAt(now)) continue;
+      if (Outages(g).IsDownAt(now) || !breakers[g].AllowsAt(now)) continue;
       any_live = true;
       if (config.queue_cap > 0 && gpu_outstanding[g] >= config.queue_cap) {
         continue;  // live but full: bounded queue rejects new work
@@ -448,9 +535,40 @@ struct Sim {
     Emit(Outcome::kRetry, 0, id, job, attempt,
          tracer != nullptr ? Format(",\"next_at_us\":%.3f", at)
                            : std::string());
-    queue.Schedule(at, [this, id, job, arrival, attempt] {
-      Dispatch(id, job, arrival, attempt + 1);
-    });
+    queue.Schedule(at, {.kind = EventKind::kRetry,
+                        .attempt = attempt + 1,
+                        .id = id,
+                        .job = job,
+                        .arrival = arrival});
+  }
+
+  /**
+   * Commits one leg of the job attempt on `gpu`, starting at
+   * max(gpu_free, now): either it completes at start + service, or the
+   * GPU fails under it mid-job (or while it is queued) and the partial
+   * work is wasted. Both outcomes are known now; committing the GPU
+   * timeline here keeps later dispatch decisions consistent. Returns
+   * the leg with its timeline; *fails says which way it ends.
+   */
+  ServeEvent CommitLeg(std::size_t id, std::size_t job, double arrival,
+                       int attempt, std::size_t gpu, bool* fails) {
+    const double start = std::max(gpu_free[gpu], queue.NowUs());
+    const double service = ServiceTime(job, gpu, start);
+    const DownInterval* outage =
+        Outages(gpu).FirstOutageIn(start, start + service);
+    *fails = outage != nullptr;
+    const double leg_end =
+        *fails ? std::max(start, outage->down_us) : start + service;
+    gpu_busy[gpu] += leg_end - start;
+    gpu_free[gpu] = leg_end;
+    return {.attempt = attempt,
+            .id = id,
+            .job = job,
+            .gpu = gpu,
+            .arrival = arrival,
+            .leg_start = start,
+            .service = service,
+            .leg_end = leg_end};
   }
 
   /** One dispatch attempt of `job` (attempt 0 = first try). */
@@ -494,8 +612,6 @@ struct Sim {
     if (degraded_decision) ++degraded;
     breakers[target].OnDispatch(now);
 
-    const double start = std::max(gpu_free[target], now);
-    const double service = ServiceTime(job, target, start);
     if (!predicted.empty() && std::isfinite(predicted[job][target])) {
       gpu_predicted_free[target] =
           std::max(gpu_predicted_free[target], now) + predicted[job][target];
@@ -503,28 +619,20 @@ struct Sim {
     ++gpu_outstanding[target];
     ++outstanding_total;
     if (recorder != nullptr) RecordQueueDepth();
+    bool fails = false;
+    const ServeEvent leg = CommitLeg(id, job, arrival, attempt, target, &fails);
     const int track = static_cast<int>(target) + 1;
-    if (tracer != nullptr && start > now) {
-      tracer->Span(track, "queued", "queue", now, start,
-                   TraceArgs(id, job, attempt));
-    }
-
-    // One leg on `target`: either it completes at start + service, or
-    // the GPU fails under it mid-job (or while it is queued) and the
-    // partial work is wasted. Both outcomes are known now; committing
-    // the GPU timeline here keeps later dispatch decisions consistent.
-    const DownInterval* outage =
-        plan.FirstOutageIn(target, start, start + service);
-    const bool fails = outage != nullptr;
-    const double leg_end =
-        fails ? std::max(start, outage->down_us) : start + service;
-    gpu_busy[target] += leg_end - start;
-    gpu_free[target] = leg_end;
     if (tracer != nullptr) {
-      tracer->Span(track, Format("job %zu", job), "service", start, leg_end,
+      if (leg.leg_start > now) {
+        tracer->Span(track, "queued", "queue", now, leg.leg_start,
+                     TraceArgs(id, job, attempt));
+      }
+      tracer->Span(track, Format("job %zu", job), "service", leg.leg_start,
+                   leg.leg_end,
                    TraceArgs(id, job, attempt) +
                        (fails ? std::string(",\"outcome\":\"failed\"")
-                              : Format(",\"wait_us\":%.3f", start - now)));
+                              : Format(",\"wait_us\":%.3f",
+                                       leg.leg_start - now)));
     }
 
     // Hedged dispatch: if the job will still be running once it has
@@ -533,44 +641,37 @@ struct Sim {
     // duplicates the work instead of guessing.
     if (config.hedge_trigger_factor > 0 && !predicted.empty() &&
         std::isfinite(predicted[job][target])) {
-      const double trigger =
-          start + predicted[job][target] * config.hedge_trigger_factor;
-      if (trigger < leg_end) {
-        queue.Schedule(trigger, [this, id, job, arrival, attempt, target,
-                                 start, service, leg_end, fails] {
-          HedgeCheck(id, job, arrival, attempt, target, start, service,
-                     leg_end, fails);
-        });
+      const double trigger = leg.leg_start + predicted[job][target] *
+                                                 config.hedge_trigger_factor;
+      if (trigger < leg.leg_end) {
+        ScheduleLeg(EventKind::kHedgeCheck, leg, trigger, fails);
         return;
       }
     }
     if (fails) {
-      ScheduleLegFailure(id, job, arrival, attempt, target, leg_end,
-                         /*retry=*/true);
+      ScheduleLeg(EventKind::kLegFailure, leg, leg.leg_end, /*retry=*/true);
     } else {
-      ScheduleLegCompletion(job, target, arrival, start, service, leg_end);
+      ScheduleLeg(EventKind::kLegCompletion, leg, leg.leg_end);
     }
   }
 
   /**
-   * The hedge trigger fired while the primary leg is still running:
-   * duplicate the job onto a second GPU picked live right now (primary
-   * excluded; least-outstanding — the model already voted for the
-   * primary, the hedge buys diversity). First completion wins; the
-   * loser is cancelled and its unspent tail refunded. A hedge landing
-   * on a half-open breaker claims that breaker's probe slot exactly
-   * like a normal dispatch.
+   * The hedge trigger fired while the `primary` leg is still running
+   * (its flag: whether it fails): duplicate the job onto a second GPU
+   * picked live right now (primary excluded; least-outstanding — the
+   * model already voted for the primary, the hedge buys diversity).
+   * First completion wins; the loser is cancelled and its unspent tail
+   * refunded. A hedge landing on a half-open breaker claims that
+   * breaker's probe slot exactly like a normal dispatch.
    */
-  void HedgeCheck(std::size_t id, std::size_t job, double arrival,
-                  int attempt, std::size_t primary, double primary_start,
-                  double primary_service, double primary_end,
-                  bool primary_fails) {
+  void HedgeCheck(const ServeEvent& primary) {
     const double now = queue.NowUs();
+    const bool primary_fails = primary.flag;
     std::vector<std::size_t>& candidates = candidate_scratch;
     candidates.clear();
     for (std::size_t g = 0; g < gpus; ++g) {
-      if (g == primary) continue;
-      if (plan.IsDownAt(g, now) || !breakers[g].AllowsAt(now)) continue;
+      if (g == primary.gpu) continue;
+      if (Outages(g).IsDownAt(now) || !breakers[g].AllowsAt(now)) continue;
       if (config.queue_cap > 0 && gpu_outstanding[g] >= config.queue_cap) {
         continue;
       }
@@ -579,167 +680,150 @@ struct Sim {
     if (candidates.empty()) {
       // No second GPU to hedge onto: the job continues unhedged.
       if (primary_fails) {
-        ScheduleLegFailure(id, job, arrival, attempt, primary, primary_end,
-                           /*retry=*/true);
+        ScheduleLeg(EventKind::kLegFailure, primary, primary.leg_end,
+                    /*retry=*/true);
       } else {
-        ScheduleLegCompletion(job, primary, arrival, primary_start,
-                              primary_service, primary_end);
+        ScheduleLeg(EventKind::kLegCompletion, primary, primary.leg_end);
       }
       return;
     }
 
-    const std::size_t hedge = LeastOutstanding(candidates);
+    const std::size_t target = LeastOutstanding(candidates);
     Emit(Outcome::kHedgeIssued);
-    breakers[hedge].OnDispatch(now);
-    ++gpu_outstanding[hedge];
+    breakers[target].OnDispatch(now);
+    ++gpu_outstanding[target];
     ++outstanding_total;
     if (recorder != nullptr) RecordQueueDepth();
-    const double hedge_start = std::max(gpu_free[hedge], now);
-    const double hedge_service = ServiceTime(job, hedge, hedge_start);
-    const DownInterval* outage =
-        plan.FirstOutageIn(hedge, hedge_start, hedge_start + hedge_service);
-    const bool hedge_fails = outage != nullptr;
-    const double hedge_end = hedge_fails
-                                 ? std::max(hedge_start, outage->down_us)
-                                 : hedge_start + hedge_service;
-    gpu_busy[hedge] += hedge_end - hedge_start;
-    gpu_free[hedge] = hedge_end;
+    bool hedge_fails = false;
+    const ServeEvent hedge = CommitLeg(primary.id, primary.job,
+                                       primary.arrival, primary.attempt,
+                                       target, &hedge_fails);
     if (tracer != nullptr) {
-      tracer->Span(static_cast<int>(hedge) + 1, Format("job %zu", job),
-                   "hedge", hedge_start, hedge_end,
-                   TraceArgs(id, job, attempt) +
+      tracer->Span(static_cast<int>(target) + 1,
+                   Format("job %zu", primary.job), "hedge", hedge.leg_start,
+                   hedge.leg_end,
+                   TraceArgs(primary.id, primary.job, primary.attempt) +
                        (hedge_fails ? ",\"outcome\":\"failed\"" : ""));
     }
 
     if (primary_fails && hedge_fails) {
       // Both legs die; the later failure carries the retry so the job
       // is re-dispatched exactly once.
-      const bool primary_last = primary_end >= hedge_end;
-      ScheduleLegFailure(id, job, arrival, attempt, primary, primary_end,
-                         /*retry=*/primary_last);
-      ScheduleLegFailure(id, job, arrival, attempt, hedge, hedge_end,
-                         /*retry=*/!primary_last);
+      const bool primary_last = primary.leg_end >= hedge.leg_end;
+      ScheduleLeg(EventKind::kLegFailure, primary, primary.leg_end,
+                  /*retry=*/primary_last);
+      ScheduleLeg(EventKind::kLegFailure, hedge, hedge.leg_end,
+                  /*retry=*/!primary_last);
       return;
     }
     if (primary_fails) {
       // The hedge saves the job: the primary's failure still feeds its
       // breaker, but no retry is needed.
       Emit(Outcome::kHedgeWon);
-      ScheduleLegFailure(id, job, arrival, attempt, primary, primary_end,
-                         /*retry=*/false);
-      ScheduleLegCompletion(job, hedge, arrival, hedge_start, hedge_service,
-                            hedge_end);
+      ScheduleLeg(EventKind::kLegFailure, primary, primary.leg_end,
+                  /*retry=*/false);
+      ScheduleLeg(EventKind::kLegCompletion, hedge, hedge.leg_end);
       return;
     }
     if (hedge_fails) {
-      ScheduleLegFailure(id, job, arrival, attempt, hedge, hedge_end,
-                         /*retry=*/false);
-      ScheduleLegCompletion(job, primary, arrival, primary_start,
-                            primary_service, primary_end);
+      ScheduleLeg(EventKind::kLegFailure, hedge, hedge.leg_end,
+                  /*retry=*/false);
+      ScheduleLeg(EventKind::kLegCompletion, primary, primary.leg_end);
       return;
     }
-    if (hedge_end < primary_end) {
+    // The loser is cancelled at the winner's completion time.
+    if (hedge.leg_end < primary.leg_end) {
       Emit(Outcome::kHedgeWon);
-      ScheduleLegCompletion(job, hedge, arrival, hedge_start, hedge_service,
-                            hedge_end);
-      ScheduleLegCancel(id, job, attempt, primary, primary_start,
-                        primary_end, hedge_end);
+      ScheduleLeg(EventKind::kLegCompletion, hedge, hedge.leg_end);
+      ScheduleLeg(EventKind::kLegCancel, primary, hedge.leg_end);
     } else {
-      ScheduleLegCompletion(job, primary, arrival, primary_start,
-                            primary_service, primary_end);
-      ScheduleLegCancel(id, job, attempt, hedge, hedge_start, hedge_end,
-                        primary_end);
+      ScheduleLeg(EventKind::kLegCompletion, primary, primary.leg_end);
+      ScheduleLeg(EventKind::kLegCancel, hedge, primary.leg_end);
     }
   }
 
-  /** Schedules one leg's failure bookkeeping at `fail_at`; when `retry`
-   *  is set the job re-enters the retry path (no leg survived). */
-  void ScheduleLegFailure(std::size_t id, std::size_t job, double arrival,
-                          int attempt, std::size_t gpu, double fail_at,
-                          bool retry) {
-    queue.Schedule(fail_at, [this, id, job, arrival, attempt, gpu, retry] {
-      --gpu_outstanding[gpu];
-      --outstanding_total;
-      if (recorder != nullptr) RecordQueueDepth();
-      const std::int64_t opens_before = breakers[gpu].opens();
-      breakers[gpu].OnFailure(queue.NowUs());
-      if (breakers[gpu].opens() > opens_before) {
-        Emit(Outcome::kBreakerOpen, static_cast<int>(gpu) + 1, id, job,
-             attempt);
-      }
-      if (retry) RetryOrDrop(id, job, arrival, attempt);
-    });
+  /** A leg's failure bookkeeping; with its flag set the job re-enters
+   *  the retry path (no leg survived). */
+  void LegFailed(const ServeEvent& leg) {
+    --gpu_outstanding[leg.gpu];
+    --outstanding_total;
+    if (recorder != nullptr) RecordQueueDepth();
+    const std::int64_t opens_before = breakers[leg.gpu].opens();
+    breakers[leg.gpu].OnFailure(queue.NowUs());
+    if (breakers[leg.gpu].opens() > opens_before) {
+      Emit(Outcome::kBreakerOpen, static_cast<int>(leg.gpu) + 1, leg.id,
+           leg.job, leg.attempt);
+    }
+    if (leg.flag) RetryOrDrop(leg.id, leg.job, leg.arrival, leg.attempt);
   }
 
-  /** Schedules the winning leg's completion bookkeeping at `leg_end`. */
-  void ScheduleLegCompletion(std::size_t job, std::size_t gpu,
-                             double arrival, double leg_start,
-                             double service, double leg_end) {
-    queue.Schedule(leg_end, [this, job, gpu, arrival, leg_start, service] {
-      const double latency_ms = (queue.NowUs() - arrival) / 1e3;
-      latencies_ms.push_back(latency_ms);
-      --gpu_outstanding[gpu];
-      --outstanding_total;
-      breakers[gpu].OnSuccess(queue.NowUs());
-      observed_service_us.push_back(service);
-      Emit(Outcome::kCompleted);
-      if (recorder != nullptr) {
-        RecordQueueDepth();
-        recorder->Observe(ch_latency_ms, latency_ms);
-        if (!predicted.empty() && std::isfinite(predicted[job][gpu]) &&
-            predicted[job][gpu] > 0) {
-          // Per-completion residual: the signal the drift monitor and
-          // `gpuperf explain` attribution both key on.
-          recorder->Observe(ch_residual_pct,
-                            std::abs(service - predicted[job][gpu]) /
-                                predicted[job][gpu] * 100.0);
-        }
+  /** The winning leg's completion bookkeeping. */
+  void LegCompleted(const ServeEvent& leg) {
+    const std::size_t job = leg.job;
+    const std::size_t gpu = leg.gpu;
+    const double latency_ms = (queue.NowUs() - leg.arrival) / 1e3;
+    latencies_ms.push_back(latency_ms);
+    --gpu_outstanding[gpu];
+    --outstanding_total;
+    breakers[gpu].OnSuccess(queue.NowUs());
+    if (config.adaptive_detect_quantile > 0) {
+      service_quantile.Add(leg.service);
+    }
+    Emit(Outcome::kCompleted);
+    if (recorder != nullptr) {
+      RecordQueueDepth();
+      recorder->Observe(ch_latency_ms, latency_ms);
+      if (!predicted.empty() && std::isfinite(predicted[job][gpu]) &&
+          predicted[job][gpu] > 0) {
+        // Per-completion residual: the signal the drift monitor and
+        // `gpuperf explain` attribution both key on.
+        recorder->Observe(ch_residual_pct,
+                          std::abs(leg.service - predicted[job][gpu]) /
+                              predicted[job][gpu] * 100.0);
       }
-      if (config.retry_budget > 0) {
-        retry_tokens = std::min(config.retry_budget_burst,
-                                retry_tokens + config.retry_budget);
-      }
-      if (config.slo_ms > 0 && latency_ms > config.slo_ms) {
-        Emit(Outcome::kDeadlineMiss);
-      }
-      if (config.record_observations) {
-        const double predicted_us =
-            !predicted.empty() && std::isfinite(predicted[job][gpu])
-                ? predicted[job][gpu]
-                : std::numeric_limits<double>::quiet_NaN();
-        observations.push_back({job, gpu, config.time_origin_us + leg_start,
-                                service, predicted_us});
-      }
-    });
+    }
+    if (config.retry_budget > 0) {
+      retry_tokens = std::min(config.retry_budget_burst,
+                              retry_tokens + config.retry_budget);
+    }
+    if (config.slo_ms > 0 && latency_ms > config.slo_ms) {
+      Emit(Outcome::kDeadlineMiss);
+    }
+    if (config.record_observations) {
+      const double predicted_us =
+          !predicted.empty() && std::isfinite(predicted[job][gpu])
+              ? predicted[job][gpu]
+              : std::numeric_limits<double>::quiet_NaN();
+      observations.push_back({job, gpu,
+                              config.time_origin_us + leg.leg_start,
+                              leg.service, predicted_us});
+    }
   }
 
   /**
-   * Cancels the losing leg at `at` (the winner's completion time). The
+   * Cancels the losing leg at the winner's completion time (now). The
    * unspent tail is refunded only when nothing queued behind the leg —
    * `gpu_free` still equals the leg's end — otherwise the capacity is
    * already committed and the leg just runs out. The breaker sees a
    * cancellation, not a verdict: a cancelled half-open probe releases
    * its slot instead of wedging the breaker.
    */
-  void ScheduleLegCancel(std::size_t id, std::size_t job, int attempt,
-                         std::size_t gpu, double leg_start, double leg_end,
-                         double at) {
-    queue.Schedule(at, [this, id, job, attempt, gpu, leg_start, leg_end] {
-      const double now = queue.NowUs();
-      if (gpu_free[gpu] == leg_end) {
-        const double stop = std::clamp(now, leg_start, leg_end);
-        gpu_busy[gpu] -= leg_end - stop;
-        gpu_free[gpu] = stop;
-      }
-      --gpu_outstanding[gpu];
-      --outstanding_total;
-      if (recorder != nullptr) RecordQueueDepth();
-      breakers[gpu].OnCancel(now);
-      if (tracer != nullptr) {
-        tracer->Instant(static_cast<int>(gpu) + 1, "hedge-cancel", "hedge",
-                        now, TraceArgs(id, job, attempt));
-      }
-    });
+  void LegCancelled(const ServeEvent& leg) {
+    const double now = queue.NowUs();
+    const std::size_t gpu = leg.gpu;
+    if (gpu_free[gpu] == leg.leg_end) {
+      const double stop = std::clamp(now, leg.leg_start, leg.leg_end);
+      gpu_busy[gpu] -= leg.leg_end - stop;
+      gpu_free[gpu] = stop;
+    }
+    --gpu_outstanding[gpu];
+    --outstanding_total;
+    if (recorder != nullptr) RecordQueueDepth();
+    breakers[gpu].OnCancel(now);
+    if (tracer != nullptr) {
+      tracer->Instant(static_cast<int>(gpu) + 1, "hedge-cancel", "hedge",
+                      now, TraceArgs(leg.id, leg.job, leg.attempt));
+    }
   }
 };
 
@@ -1040,8 +1124,8 @@ StatusOr<ServingResult> SimulateServing(
     chaos = &chaos_local;
   }
   Sim sim(true_service_us, predicted_service_us, config, gpus,
-          chaos != nullptr ? chaos->outage_plan() : std::move(base_plan));
-  sim.chaos = chaos;
+          chaos != nullptr ? chaos->outage_plan() : std::move(base_plan),
+          chaos);
   sim.retry_tokens = config.retry_budget_burst;
   sim.tracer = tracer;
   sim.recorder = config.recorder;
@@ -1099,8 +1183,9 @@ StatusOr<ServingResult> SimulateServing(
   sim.first_arrival_sequence = sim.queue.ReserveSequences(
       static_cast<std::int64_t>(sim.arrivals.size()));
   if (!sim.arrivals.empty()) sim.ScheduleArrival(0);
+  const auto fire = [&sim](const ServeEvent& event) { sim.Fire(event); };
   if (sim.recorder == nullptr) {
-    sim.queue.Run();
+    sim.queue.Run(fire);
   } else {
     // Lazy window advancement: run every event with a (floored)
     // timestamp inside the open window in one tight chunk, close the
@@ -1115,7 +1200,8 @@ StatusOr<ServingResult> SimulateServing(
     // lazily.
     while (!sim.queue.empty()) {
       sim.queue.RunUntil(
-          static_cast<double>(sim.recorder->next_close_us() - origin_ll));
+          static_cast<double>(sim.recorder->next_close_us() - origin_ll),
+          fire);
       if (sim.queue.empty()) break;
       sim.recorder->AdvanceTo(
           origin_ll +
@@ -1144,10 +1230,14 @@ StatusOr<ServingResult> SimulateServing(
                          static_cast<double>(arrivals)
                    : 1.0;
   if (!sim.latencies_ms.empty()) {
-    result.p50_ms = Percentile(sim.latencies_ms, 50);
-    result.p95_ms = Percentile(sim.latencies_ms, 95);
-    result.p99_ms = Percentile(sim.latencies_ms, 99);
+    // The mean first: its sum runs in completion order, and the
+    // selection below reorders the latencies.
     result.mean_ms = Mean(sim.latencies_ms);
+    const std::vector<double> percentiles =
+        SelectPercentiles(&sim.latencies_ms, {50, 95, 99});
+    result.p50_ms = percentiles[0];
+    result.p95_ms = percentiles[1];
+    result.p99_ms = percentiles[2];
   }
   const double end = std::max(sim.queue.NowUs(), 1.0);
   for (std::size_t g = 0; g < gpus; ++g) {

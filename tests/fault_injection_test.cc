@@ -1,8 +1,14 @@
 #include "common/fault_injection.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/random.h"
 
 namespace gpuperf {
 namespace {
@@ -361,6 +367,173 @@ TEST(FaultPlanTest, ExplicitPlanAllowsOutageAtTimeZero) {
   EXPECT_EQ(found->down_us, 0.0);
   EXPECT_LT(plan.Availability(0), 1.0);
   EXPECT_DOUBLE_EQ(plan.Availability(1), 1.0);
+}
+
+// --- Cursor twins: a forward-only cursor must answer exactly like the
+// random-access API it replaces on serving's hot path.
+
+/**
+ * Non-decreasing query times over [0, 1.05 * horizon_us]: repeats,
+ * 1-ulp steps, landings exactly on or 1 ulp before an interval
+ * boundary, and jumps. The horizon passes 1.7e7 us, where
+ * `t + 1e-9 == t`.
+ */
+std::vector<double> ForwardTimes(std::vector<double> boundaries,
+                                 double horizon_us, std::uint64_t seed) {
+  std::sort(boundaries.begin(), boundaries.end());
+  Rng rng(seed);
+  std::vector<double> times;
+  double now = 0;
+  while (now <= 1.05 * horizon_us) {
+    times.push_back(now);
+    switch (rng.NextBelow(4)) {
+      case 0:  // stay: several queries at one sim time
+        break;
+      case 1:
+        now = std::nextafter(now, 2 * horizon_us);
+        break;
+      case 2: {  // the next boundary strictly after now, or just before
+        const auto it =
+            std::upper_bound(boundaries.begin(), boundaries.end(), now);
+        if (it == boundaries.end()) {
+          now += 1e3;
+        } else {
+          const double before = std::nextafter(*it, 0.0);
+          now = before > now && rng.NextBelow(2) == 0 ? before : *it;
+        }
+        break;
+      }
+      default:
+        now += rng.NextDouble() * horizon_us / 500;
+        break;
+    }
+  }
+  return times;
+}
+
+/** Drives one cursor per resource over ForwardTimes and compares every
+ *  answer with the random-access plan, bit for bit. */
+void ExpectCursorsMatchPlan(const FaultPlan& outages, const ChaosPlan* chaos,
+                            std::uint64_t seed) {
+  const double horizon_us = outages.horizon_us();
+  for (std::size_t r = 0; r < outages.resources(); ++r) {
+    SCOPED_TRACE(r);
+    std::vector<double> boundaries;
+    for (const DownInterval& o : outages.Outages(r)) {
+      boundaries.push_back(o.down_us);
+      boundaries.push_back(o.up_us);
+    }
+    if (chaos != nullptr) {
+      for (const SlowInterval& s : chaos->Slowdowns(r)) {
+        boundaries.push_back(s.start_us);
+        boundaries.push_back(s.end_us);
+      }
+    }
+    OutageCursor outage_cursor(outages.Outages(r));
+    const std::vector<SlowInterval> no_slowdowns;
+    SlowdownCursor slowdown_cursor(chaos != nullptr ? chaos->Slowdowns(r)
+                                                    : no_slowdowns);
+    Rng rng(seed + r);
+    for (double now : ForwardTimes(boundaries, horizon_us, seed + r)) {
+      outage_cursor.AdvanceTo(now);
+      slowdown_cursor.AdvanceTo(now);
+      ASSERT_EQ(outage_cursor.IsDownAt(now), outages.IsDownAt(r, now))
+          << now;
+      for (int k = 0; k < 3; ++k) {
+        // A leg start at or after now, then a window of random length
+        // (zero included) from it.
+        double start = now;
+        switch (rng.NextBelow(3)) {
+          case 0:
+            break;
+          case 1: {
+            const auto it = std::upper_bound(boundaries.begin(),
+                                             boundaries.end(), now);
+            if (it != boundaries.end()) start = *it;
+            break;
+          }
+          default:
+            start = now + rng.NextDouble() * horizon_us / 100;
+            break;
+        }
+        const double end = start + (rng.NextBelow(4) == 0
+                                        ? 0.0
+                                        : rng.NextDouble() * horizon_us / 50);
+        ASSERT_EQ(outage_cursor.IsDownAt(start), outages.IsDownAt(r, start))
+            << start;
+        ASSERT_EQ(outage_cursor.FirstOutageIn(start, end),
+                  outages.FirstOutageIn(r, start, end))
+            << start << " " << end;
+        if (chaos != nullptr) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                        slowdown_cursor.SlowdownAt(start)),
+                    std::bit_cast<std::uint64_t>(chaos->SlowdownAt(r, start)))
+              << start;
+        }
+      }
+    }
+  }
+}
+
+TEST(CursorTest, ChaosCursorsMatchRandomAccessBitForBit) {
+  // Gray episodes overlapped by host- and rack-level slowdowns (three
+  // factors can stack), flap blips, MTTR-0 base blips, and a rack
+  // outage pinned at t = 0, over a horizon past 1.7e7 us.
+  FaultPlan base(6, kHorizonUs, Config(4, 0, 5));
+  for (std::uint64_t seed : {3u, 4u}) {
+    SCOPED_TRACE(seed);
+    ChaosPlanConfig config;
+    config.seed = seed;
+    config.gray_mtbf_s = 3;
+    config.gray_mttr_s = 2;
+    config.gray_factor = 3;
+    config.flap_mtbf_s = 15;
+    config.host.size = 2;
+    config.host.mtbf_s = 6;
+    config.host.mttr_s = 4;
+    config.host.factor = 2;
+    config.rack.size = 1;  // one host per rack
+    config.rack.mtbf_s = 10;
+    config.rack.mttr_s = 5;
+    config.rack.factor = 1.5;
+    ChaosPlan chaos(6, kHorizonUs, config, &base);
+    ChaosPlanConfig outage_config = config;
+    outage_config.rack.factor = 0;
+    outage_config.rack.mttr_s = 0.5;
+    outage_config.rack.first_event_at_s = 0;
+    ChaosPlan with_outages(6, kHorizonUs, outage_config, &base);
+    // The plans exercise what the twins are meant to cover.
+    bool stacked = false;
+    for (std::size_t g = 0; g < 6; ++g) {
+      const std::vector<SlowInterval>& slow = chaos.Slowdowns(g);
+      for (std::size_t i = 1; i < slow.size(); ++i) {
+        stacked |= slow[i].start_us < slow[i - 1].end_us;
+      }
+    }
+    EXPECT_TRUE(stacked);
+    EXPECT_EQ(with_outages.outage_plan().Outages(0).front().down_us, 0.0);
+    ExpectCursorsMatchPlan(chaos.outage_plan(), &chaos, seed);
+    ExpectCursorsMatchPlan(with_outages.outage_plan(), &with_outages,
+                           seed + 100);
+  }
+}
+
+TEST(CursorTest, OutageCursorKeepsIsDownAtExactWindowEnd) {
+  // Outages at t = 0, a zero-length blip, and outages beginning past
+  // 1.7e7 us, where IsDownAt's window end t + 1e-9 rounds to t: there an
+  // outage that begins exactly at t reads as up, before it as down.
+  const FaultPlan plan({{{0.0, 5.0},
+                         {10.0, 10.0},
+                         {20.0, 30.0},
+                         {2e7, 2e7 + 100},
+                         {3e7, 3e7}}},
+                       kHorizonUs);
+  EXPECT_TRUE(plan.IsDownAt(0, 20.0));
+  EXPECT_FALSE(plan.IsDownAt(0, 2e7));
+  EXPECT_TRUE(plan.IsDownAt(0, 2e7 + 1));
+  EXPECT_FALSE(plan.IsDownAt(0, 10.0));
+  EXPECT_NE(plan.FirstOutageIn(0, 9.0, 11.0), nullptr);
+  ExpectCursorsMatchPlan(plan, nullptr, 9);
 }
 
 }  // namespace

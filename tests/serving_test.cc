@@ -1,5 +1,6 @@
 #include "simsys/serving.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <iterator>
@@ -872,6 +873,84 @@ TEST(ServingTest, AdaptiveDetectTimeoutIsDeterministic) {
   EXPECT_EQ(a.retries, b.retries);
   EXPECT_EQ(a.p99_ms, b.p99_ms);
   EXPECT_EQ(a.mean_ms, b.mean_ms);
+}
+
+TEST(ServingTest, AdaptiveDetectTimeoutMatchesGolden) {
+  // Pinned from the simulator that sorted every observed service time on
+  // each retry; the running order statistic must pick the same two
+  // order statistics, so any drift in the timeout moves these digests.
+  struct Case {
+    double quantile;
+    DispatchPolicy policy;
+    bool chaos;
+  };
+  struct Golden {
+    int completed, dropped, retries, dispatches, breaker_opens, hedges_won;
+    std::uint64_t p50_bits, p99_bits, mean_bits, observations;
+  };
+  const Case cases[] = {
+      {0.95, DispatchPolicy::kLeastOutstanding, false},
+      {0.99, DispatchPolicy::kLeastOutstanding, false},
+      {0.99, DispatchPolicy::kPredictedLeastLoad, true},
+  };
+  const Golden golden[] = {
+      {2013, 38, 162, 2014, 0, 0, 4610334938539176755ULL,
+       4626050027424805351ULL, 4614988017600815826ULL,
+       13698840523235361276ULL},
+      {2027, 24, 149, 2028, 0, 0, 4610334938539176755ULL,
+       4635219578280212432ULL, 4616629613539247240ULL,
+       13148739588142116904ULL},
+      {1768, 283, 1283, 1944, 16, 88, 4616302208045442662ULL,
+       4646284940306571348ULL, 4631479850704920321ULL,
+       13790771245189030636ULL},
+  };
+  // Five job types with a skewed mix, so the 0.95 and 0.99 quantiles of
+  // the observed service times land on different order statistics.
+  const std::vector<std::vector<double>> truth = {
+      {1'000, 1'300}, {1'700, 2'100}, {2'600, 3'900}, {5'200, 4'100},
+      {9'100, 12'000}};
+  const std::vector<double> mix = {8, 6, 4, 2, 1};
+  std::vector<std::vector<double>> optimistic = truth;
+  for (auto& row : optimistic) {
+    for (double& v : row) v *= 0.5;
+  }
+  for (std::size_t i = 0; i < std::size(cases); ++i) {
+    SCOPED_TRACE(i);
+    ServingConfig config = FaultyConfig(cases[i].policy, 2);
+    config.adaptive_detect_quantile = cases[i].quantile;
+    config.adaptive_detect_multiplier = 3;
+    config.record_observations = true;
+    if (cases[i].chaos) {
+      config.chaos.gray_mtbf_s = 1;
+      config.chaos.gray_mttr_s = 0.5;
+      config.chaos.flap_mtbf_s = 3;
+      config.chaos.host.size = 2;
+      config.chaos.host.mtbf_s = 4;
+      config.chaos.host.mttr_s = 2;
+      config.chaos.host.factor = 2;
+      config.hedge_trigger_factor = 1.5;
+      config.breaker.failure_threshold = 2;
+      config.breaker.cooldown_ms = 500;
+    }
+    const ServingResult r =
+        SimulateServing(truth, optimistic, mix, config).value();
+    std::string observed;
+    for (const ServingObservation& o : r.observations) {
+      observed += Format("%zu,%zu,%.17g,%.17g\n", o.job, o.gpu, o.start_us,
+                         o.observed_us);
+    }
+    EXPECT_GT(r.retries, 0);
+    EXPECT_EQ(r.completed, golden[i].completed);
+    EXPECT_EQ(r.dropped, golden[i].dropped);
+    EXPECT_EQ(r.retries, golden[i].retries);
+    EXPECT_EQ(r.dispatches, golden[i].dispatches);
+    EXPECT_EQ(r.breaker_opens, golden[i].breaker_opens);
+    EXPECT_EQ(r.hedges_won, golden[i].hedges_won);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.p50_ms), golden[i].p50_bits);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.p99_ms), golden[i].p99_bits);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.mean_ms), golden[i].mean_bits);
+    EXPECT_EQ(StableHash(observed), golden[i].observations);
+  }
 }
 
 TEST(ServingTest, ChaosGraySlowdownInflatesLatencyWithoutOutages) {

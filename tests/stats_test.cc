@@ -1,6 +1,10 @@
 #include "common/stats.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -53,6 +57,66 @@ TEST(PercentileDeathTest, EmptyInputIsError) {
 
 TEST(PercentileDeathTest, NanInputIsError) {
   EXPECT_DEATH(Percentile({1.0, std::nan(""), 3.0}, 50), "NaN");
+}
+
+/** Random inputs with many ties (a few distinct values) or none. */
+std::vector<double> RandomValues(Rng& rng, std::size_t n, bool ties) {
+  std::vector<double> values(n);
+  for (double& v : values) {
+    v = ties ? static_cast<double>(rng.NextBelow(5)) * 1.5
+             : rng.NextRange(-1e3, 1e3);
+  }
+  return values;
+}
+
+TEST(PercentileTest, SelectionMatchesSortBitForBit) {
+  Rng rng(17);
+  const std::vector<double> ps = {0, 1, 50, 50, 95, 99, 99.9, 100};
+  for (std::size_t n : {1u, 2u, 3u, 7u, 100u, 1001u}) {
+    for (bool ties : {false, true}) {
+      std::vector<double> values = RandomValues(rng, n, ties);
+      const std::vector<double> original = values;
+      const std::vector<double> selected = SelectPercentiles(&values, ps);
+      ASSERT_EQ(selected.size(), ps.size());
+      for (std::size_t i = 0; i < ps.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(selected[i]),
+                  std::bit_cast<std::uint64_t>(Percentile(original, ps[i])))
+            << n << " " << ties << " p" << ps[i];
+      }
+      // A reordering, not a change of the values.
+      std::sort(values.begin(), values.end());
+      std::vector<double> sorted = original;
+      std::sort(sorted.begin(), sorted.end());
+      EXPECT_EQ(values, sorted);
+    }
+  }
+}
+
+TEST(PercentileDeathTest, SelectionChecksItsInput) {
+  std::vector<double> empty;
+  EXPECT_DEATH(SelectPercentiles(&empty, {50}), "check failed");
+  std::vector<double> with_nan = {1.0, std::nan(""), 3.0};
+  EXPECT_DEATH(SelectPercentiles(&with_nan, {50}), "NaN");
+  std::vector<double> values = {1.0, 2.0};
+  EXPECT_DEATH(SelectPercentiles(&values, {95, 50}), "ascending");
+}
+
+TEST(PercentileTest, RunningPercentileMatchesSortAfterEveryAdd) {
+  Rng rng(23);
+  for (double p : {0.0, 50.0, 95.0, 99.0, 99.99, 100.0}) {
+    for (bool ties : {false, true}) {
+      RunningPercentile running(p);
+      std::vector<double> seen;
+      for (double v : RandomValues(rng, 600, ties)) {
+        running.Add(v);
+        seen.push_back(v);
+        ASSERT_EQ(running.size(), seen.size());
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(running.Value()),
+                  std::bit_cast<std::uint64_t>(Percentile(seen, p)))
+            << p << " " << ties << " n=" << seen.size();
+      }
+    }
+  }
 }
 
 TEST(HistogramQuantileTest, InterpolatesInsideABucket) {

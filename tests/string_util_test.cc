@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cfloat>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -156,6 +157,26 @@ TEST(AppendTest, RandomDoublesMatchPrintf) {
         static_cast<double>(static_cast<std::int64_t>(rng() % 2400001) -
                             1200000);
     ASSERT_EQ(WithGeneral(whole), Format("x%g", whole)) << i;
+    // Near-whole numbers next to AppendGeneral's whole-number path: a
+    // few ulps off, 1e-8 off, and the same for the negation.
+    const double near = static_cast<double>(rng() % 1000001);
+    const double off[] = {
+        std::nextafter(near, 0.0), std::nextafter(near, 2e6),
+        std::nextafter(std::nextafter(near, 2e6), 2e6),
+        std::nextafter(std::nextafter(near, 0.0), 0.0), near + 1e-8,
+        near - 1e-8};
+    for (double v : off) {
+      ASSERT_EQ(WithGeneral(v), Format("x%g", v)) << i << " " << v;
+      ASSERT_EQ(WithGeneral(-v), Format("x%g", -v)) << i << " " << -v;
+    }
+  }
+  // Fixed near-whole edges, both signs.
+  for (double v : {0.99999999, 1.00000001, 999999.5, 999999.4999999,
+                   std::nextafter(1e6, 0.0), std::nextafter(999999.0, 1e6),
+                   std::nextafter(1.0, 0.0), std::nextafter(0.0, 1.0),
+                   9.2233720368547758e18, 0.5, 1e-300}) {
+    EXPECT_EQ(WithGeneral(v), Format("x%g", v)) << v;
+    EXPECT_EQ(WithGeneral(-v), Format("x%g", -v)) << -v;
   }
 }
 
