@@ -181,6 +181,19 @@ void BM_KwTrain(benchmark::State& state) {
 }
 BENCHMARK(BM_KwTrain)->Unit(benchmark::kMillisecond);
 
+// The campaign's zoo: one SmallZoo(8) per iteration. Items are the
+// networks it hands out, so perf_gate.sh reads ns per network returned.
+void BM_SmallZooStride8(benchmark::State& state) {
+  std::int64_t returned = 0;
+  for (auto _ : state) {
+    const std::vector<dnn::Network> networks = zoo::SmallZoo(8);
+    returned += static_cast<std::int64_t>(networks.size());
+    benchmark::DoNotOptimize(networks);
+  }
+  state.SetItemsProcessed(returned);
+}
+BENCHMARK(BM_SmallZooStride8)->Unit(benchmark::kMillisecond);
+
 void BM_LowerResnet50(benchmark::State& state) {
   const Fixture& fixture = Fixture::Get();
   for (auto _ : state) {

@@ -25,6 +25,9 @@
 #                               (bench_speed_simsys): the event loop,
 #                               dispatch, fault/chaos cursors and the
 #                               latency percentiles.
+#   BM_SmallZooStride8          one network of the campaign's
+#                               SmallZoo(8): the zoo builds only the
+#                               networks it hands out.
 #
 # A row names the google-benchmark binary under <build_dir>/bench/ that
 # runs it in an optional third field; the default is

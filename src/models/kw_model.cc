@@ -153,57 +153,76 @@ void KwModel::Train(const dataset::Dataset& data,
 
   // --- 3. Clustering: merge kernels with similar lines (Section 5.4).
   if (options_.cluster) {
-    for (auto& [gpu, kernels] : per_gpu_) {
-      const std::size_t gpu_id = data.gpus().Find(gpu);
+    // std::sort is not stable, so each GPU's members start out in kernel
+    // name order (the order of per_gpu_'s keys): ties between equal
+    // slopes then resolve by name, not by interning order.
+    std::vector<int> by_name(kernel_count);
+    for (std::size_t id = 0; id < kernel_count; ++id) {
+      by_name[id] = static_cast<int>(id);
+    }
+    std::sort(by_name.begin(), by_name.end(), [&](int a, int b) {
+      return data.kernels().Get(a) < data.kernels().Get(b);
+    });
+    struct Member {
+      double slope;
+      KernelModel* model;
+      int kernel_id;
+    };
+    const std::size_t gpu_count = data.gpus().size();
+    for (std::size_t gpu_id = 0; gpu_id < gpu_count; ++gpu_id) {
+      KernelModel* const* gpu_models = &models[gpu_id * kernel_count];
       for (CostDriver driver : kDrivers) {
         // Kernels of this driver sorted by slope.
-        std::vector<std::string> names;
-        for (const auto& [name, model] : kernels) {
-          if (model.driver == driver) names.push_back(name);
+        std::vector<Member> members;
+        for (int id : by_name) {
+          KernelModel* model = gpu_models[id];
+          if (model != nullptr && model->driver == driver) {
+            members.push_back({model->fit.slope, model, id});
+          }
         }
-        std::sort(names.begin(), names.end(),
-                  [&](const std::string& a, const std::string& b) {
-                    return kernels.at(a).fit.slope < kernels.at(b).fit.slope;
+        std::sort(members.begin(), members.end(),
+                  [](const Member& a, const Member& b) {
+                    return a.slope < b.slope;
                   });
-        std::vector<std::vector<std::string>> clusters;
-        for (const std::string& name : names) {
-          const regression::LinearFit& fit = kernels.at(name).fit;
+        std::vector<std::vector<Member>> clusters;
+        for (const Member& member : members) {
+          const regression::LinearFit& fit = member.model->fit;
           bool merged = false;
           if (!clusters.empty()) {
             const regression::LinearFit& head =
-                kernels.at(clusters.back().front()).fit;
+                clusters.back().front().model->fit;
             const double base = std::max(std::abs(head.slope), 1e-12);
             if (std::abs(fit.slope - head.slope) / base <=
                     options_.cluster_slope_tol &&
                 std::abs(fit.intercept - head.intercept) <=
                     options_.cluster_intercept_tol_us) {
-              clusters.back().push_back(name);
+              clusters.back().push_back(member);
               merged = true;
             }
           }
-          if (!merged) clusters.push_back({name});
+          if (!merged) clusters.push_back({member});
         }
         // Refit each multi-kernel cluster on the union of its samples.
         for (std::size_t c = 0; c < clusters.size(); ++c) {
           const int cluster_id =
               static_cast<int>(driver) * 100000 + static_cast<int>(c);
           if (clusters[c].size() == 1) {
-            kernels[clusters[c][0]].cluster_id = cluster_id;
+            clusters[c][0].model->cluster_id = cluster_id;
             continue;
           }
           std::vector<double> x, y;
-          for (const std::string& name : clusters[c]) {
+          for (const Member& member : clusters[c]) {
             const KernelSamples& s =
-                samples[gpu_id * kernel_count + data.kernels().Find(name)];
+                samples[gpu_id * kernel_count + member.kernel_id];
             const std::vector<double>& xs = s.XFor(driver);
             x.insert(x.end(), xs.begin(), xs.end());
             y.insert(y.end(), s.y.begin(), s.y.end());
           }
           regression::LinearFit fit = regression::FitLinearClampedIntercept(
               x, y, options_.max_intercept_us);
-          for (const std::string& name : clusters[c]) {
-            kernels[name].fit = fit;
-            kernels[name].cluster_id = cluster_id;
+          for (const Member& member : clusters[c]) {
+            member.model->fit = fit;
+            member.model->cluster_id = cluster_id;
           }
         }
       }

@@ -49,7 +49,7 @@ Network BuildDenseNet(const DenseNetConfig& config) {
   return b.Build();
 }
 
-Network BuildStandardDenseNet(int depth) {
+DenseNetConfig StandardDenseNetConfig(int depth) {
   DenseNetConfig config;
   config.name = Format("densenet%d", depth);
   switch (depth) {
@@ -63,7 +63,11 @@ Network BuildStandardDenseNet(int depth) {
     case 201: config.block_layers = {6, 12, 48, 32}; break;
     default: Fatal(Format("no standard DenseNet of depth %d", depth));
   }
-  return BuildDenseNet(config);
+  return config;
+}
+
+Network BuildStandardDenseNet(int depth) {
+  return BuildDenseNet(StandardDenseNetConfig(depth));
 }
 
 }  // namespace gpuperf::zoo

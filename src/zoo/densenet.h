@@ -29,6 +29,7 @@ struct DenseNetConfig {
 dnn::Network BuildDenseNet(const DenseNetConfig& config);
 
 /** Standard torchvision variants: depth in {121, 161, 169, 201}. */
+DenseNetConfig StandardDenseNetConfig(int depth);
 dnn::Network BuildStandardDenseNet(int depth);
 
 }  // namespace gpuperf::zoo

@@ -74,7 +74,7 @@ Network BuildResNet(const ResNetConfig& config) {
   return b.Build();
 }
 
-Network BuildStandardResNet(int depth) {
+ResNetConfig StandardResNetConfig(int depth) {
   ResNetConfig config;
   config.name = Format("resnet%d", depth);
   switch (depth) {
@@ -85,11 +85,15 @@ Network BuildStandardResNet(int depth) {
     case 152: config.bottleneck = true; config.stage_blocks = {3, 8, 36, 3}; break;
     default: Fatal(Format("no standard ResNet of depth %d", depth));
   }
-  return BuildResNet(config);
+  return config;
 }
 
-Network BuildResNeXt(int depth, std::int64_t groups,
-                     std::int64_t width_per_group) {
+Network BuildStandardResNet(int depth) {
+  return BuildResNet(StandardResNetConfig(depth));
+}
+
+ResNetConfig ResNeXtConfig(int depth, std::int64_t groups,
+                           std::int64_t width_per_group) {
   GP_CHECK(depth == 50 || depth == 101);
   ResNetConfig config;
   config.name = Format("resnext%d_%ldx%ldd", depth,
@@ -102,10 +106,15 @@ Network BuildResNeXt(int depth, std::int64_t groups,
   // torchvision: mid width = width_per_group * groups / 64 * stage width.
   config.bottleneck_width_mult =
       static_cast<double>(width_per_group * groups) / 64.0;
-  return BuildResNet(config);
+  return config;
 }
 
-Network BuildWideResNet(int depth, int width_factor) {
+Network BuildResNeXt(int depth, std::int64_t groups,
+                     std::int64_t width_per_group) {
+  return BuildResNet(ResNeXtConfig(depth, groups, width_per_group));
+}
+
+ResNetConfig WideResNetConfig(int depth, int width_factor) {
   GP_CHECK(depth == 50 || depth == 101);
   ResNetConfig config;
   config.name = Format("wide_resnet%d_%d", depth, width_factor);
@@ -113,11 +122,15 @@ Network BuildWideResNet(int depth, int width_factor) {
   config.stage_blocks = depth == 50 ? std::vector<int>{3, 4, 6, 3}
                                     : std::vector<int>{3, 4, 23, 3};
   config.bottleneck_width_mult = width_factor;
-  return BuildResNet(config);
+  return config;
 }
 
-Network BuildResNetWithBlocks(int total_blocks, std::int64_t base_width,
-                              std::int64_t input_resolution) {
+Network BuildWideResNet(int depth, int width_factor) {
+  return BuildResNet(WideResNetConfig(depth, width_factor));
+}
+
+ResNetConfig ResNetWithBlocksConfig(int total_blocks, std::int64_t base_width,
+                                    std::int64_t input_resolution) {
   GP_CHECK_GE(total_blocks, 4);
   // Distribute blocks in the standard 3:4:6:3 proportion, at least 1 each.
   const double weights[4] = {3.0, 4.0, 6.0, 3.0};
@@ -150,7 +163,13 @@ Network BuildResNetWithBlocks(int total_blocks, std::int64_t base_width,
   config.stage_blocks = stage_blocks;
   config.base_width = base_width;
   config.input_resolution = input_resolution;
-  return BuildResNet(config);
+  return config;
+}
+
+Network BuildResNetWithBlocks(int total_blocks, std::int64_t base_width,
+                              std::int64_t input_resolution) {
+  return BuildResNet(
+      ResNetWithBlocksConfig(total_blocks, base_width, input_resolution));
 }
 
 }  // namespace gpuperf::zoo

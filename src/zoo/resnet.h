@@ -31,14 +31,21 @@ struct ResNetConfig {
 /** Builds a ResNet from an explicit configuration. */
 dnn::Network BuildResNet(const ResNetConfig& config);
 
+// Each *Config below names its network before it is built; the Build*
+// beside it is BuildResNet of that config.
+
 /** Standard torchvision variants: depth in {18, 34, 50, 101, 152}. */
+ResNetConfig StandardResNetConfig(int depth);
 dnn::Network BuildStandardResNet(int depth);
 
 /** ResNeXt-50 32x4d / ResNeXt-101 32x8d (Xie et al., CVPR'17). */
+ResNetConfig ResNeXtConfig(int depth, std::int64_t groups = 32,
+                           std::int64_t width_per_group = 4);
 dnn::Network BuildResNeXt(int depth, std::int64_t groups = 32,
                           std::int64_t width_per_group = 4);
 
 /** Wide ResNet-50-2 / -101-2 (Zagoruyko & Komodakis, BMVC'16). */
+ResNetConfig WideResNetConfig(int depth, int width_factor = 2);
 dnn::Network BuildWideResNet(int depth, int width_factor = 2);
 
 /**
@@ -46,6 +53,9 @@ dnn::Network BuildWideResNet(int depth, int width_factor = 2);
  * across the four stages in the 3:4:6:3 standard proportion; its
  * conventional name is resnet{3*total_blocks+2} (e.g. 14 -> resnet44).
  */
+ResNetConfig ResNetWithBlocksConfig(int total_blocks,
+                                    std::int64_t base_width = 64,
+                                    std::int64_t input_resolution = 224);
 dnn::Network BuildResNetWithBlocks(int total_blocks,
                                    std::int64_t base_width = 64,
                                    std::int64_t input_resolution = 224);

@@ -56,8 +56,8 @@ Network BuildTransformer(const TransformerConfig& config) {
   return b.Build();
 }
 
-Network BuildStandardTransformer(const std::string& preset,
-                                 std::int64_t seq_len) {
+TransformerConfig StandardTransformerConfig(const std::string& preset,
+                                            std::int64_t seq_len) {
   TransformerConfig config;
   config.seq_len = seq_len;
   config.name = seq_len == 128
@@ -95,7 +95,12 @@ Network BuildStandardTransformer(const std::string& preset,
   } else {
     Fatal("unknown transformer preset: " + preset);
   }
-  return BuildTransformer(config);
+  return config;
+}
+
+Network BuildStandardTransformer(const std::string& preset,
+                                 std::int64_t seq_len) {
+  return BuildTransformer(StandardTransformerConfig(preset, seq_len));
 }
 
 Network BuildGpt2(const std::string& preset, std::int64_t seq_len) {

@@ -32,7 +32,12 @@ struct TransformerConfig {
 /** Builds an encoder-only transformer text classifier. */
 dnn::Network BuildTransformer(const TransformerConfig& config);
 
-/** Named presets: "bert_tiny|mini|small|medium|base|large", "distilbert". */
+/**
+ * Named presets: "bert_tiny|mini|small|medium|base|large", "distilbert".
+ * BuildStandardTransformer is BuildTransformer of the preset's config.
+ */
+TransformerConfig StandardTransformerConfig(const std::string& preset,
+                                            std::int64_t seq_len = 128);
 dnn::Network BuildStandardTransformer(const std::string& preset,
                                       std::int64_t seq_len = 128);
 

@@ -34,7 +34,7 @@ Network BuildVgg(const VggConfig& config) {
   return b.Build();
 }
 
-Network BuildStandardVgg(int depth, bool batch_norm) {
+VggConfig StandardVggConfig(int depth, bool batch_norm) {
   VggConfig config;
   config.name = Format("vgg%d%s", depth, batch_norm ? "_bn" : "");
   config.batch_norm = batch_norm;
@@ -45,11 +45,15 @@ Network BuildStandardVgg(int depth, bool batch_norm) {
     case 19: config.stage_convs = {2, 2, 4, 4, 4}; break;
     default: Fatal(Format("no standard VGG of depth %d", depth));
   }
-  return BuildVgg(config);
+  return config;
 }
 
-Network BuildVggWithConvs(int total_convs, std::int64_t base_width,
-                          std::int64_t input_resolution) {
+Network BuildStandardVgg(int depth, bool batch_norm) {
+  return BuildVgg(StandardVggConfig(depth, batch_norm));
+}
+
+VggConfig VggWithConvsConfig(int total_convs, std::int64_t base_width,
+                             std::int64_t input_resolution) {
   GP_CHECK_GE(total_convs, 5);
   // Fill stages round-robin from the deepest (cheap) stages first, the same
   // direction VGG-16 -> VGG-19 grows.
@@ -72,7 +76,13 @@ Network BuildVggWithConvs(int total_convs, std::int64_t base_width,
   config.stage_convs = stage_convs;
   config.base_width = base_width;
   config.input_resolution = input_resolution;
-  return BuildVgg(config);
+  return config;
+}
+
+Network BuildVggWithConvs(int total_convs, std::int64_t base_width,
+                          std::int64_t input_resolution) {
+  return BuildVgg(
+      VggWithConvsConfig(total_convs, base_width, input_resolution));
 }
 
 }  // namespace gpuperf::zoo

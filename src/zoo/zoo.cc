@@ -1,6 +1,6 @@
 #include "zoo/zoo.h"
 
-#include <map>
+#include <functional>
 #include <set>
 
 #include "common/logging.h"
@@ -38,6 +38,8 @@ bool ParseIntSuffix(const std::string& name, const std::string& prefix,
   return true;
 }
 
+std::string MixNetName(int index) { return Format("mixnet-%03d", index); }
+
 /**
  * Deterministically samples a structurally diverse plain/residual CNN,
  * standing in for the long tail of community models in the paper's zoo.
@@ -50,7 +52,7 @@ Network BuildMixNet(int index) {
   int num_stages = 3 + static_cast<int>(rng.NextBelow(3));
   int style = static_cast<int>(rng.NextBelow(4));
 
-  NetworkBuilder b(Format("mixnet-%03d", index), "MixNet",
+  NetworkBuilder b(MixNetName(index), "MixNet",
                    Chw(3, resolution, resolution));
   b.Conv(width, 3, 2, 1).BatchNorm().Relu();
   for (int stage = 0; stage < num_stages; ++stage) {
@@ -103,7 +105,7 @@ Network BuildMixNet(int index) {
 }
 
 /** Basic-block ResNet with a custom block count (depth = 2*blocks + 2). */
-Network BuildBasicResNetWithBlocks(int total_blocks) {
+ResNetConfig BasicResNetWithBlocksConfig(int total_blocks) {
   std::vector<int> stage_blocks(4, 1);
   int assigned = 4;
   int stage = 0;
@@ -116,7 +118,194 @@ Network BuildBasicResNetWithBlocks(int total_blocks) {
   config.name = Format("resnet%d-basic", 2 * total_blocks + 2);
   config.bottleneck = false;
   config.stage_blocks = stage_blocks;
-  return BuildResNet(config);
+  return config;
+}
+
+/**
+ * One zoo entry: the name of its network, known before the network is
+ * built, and how to build it.
+ */
+struct Recipe {
+  std::string name;
+  std::function<Network()> build;
+};
+
+/** The recipe of a family config, which carries the network's name. */
+template <typename Config>
+Recipe Named(Config config, Network (*build)(const Config&)) {
+  std::string name = config.name;
+  return {std::move(name), [config = std::move(config), build] {
+            return build(config);
+          }};
+}
+
+Network Build(const Recipe& recipe) {
+  Network net = recipe.build();
+  GP_CHECK_EQ(net.name(), recipe.name);
+  return net;
+}
+
+/**
+ * The 646 image-classification recipes in zoo order. Duplicates are
+ * dropped by name before anything is built, so handing out a subset
+ * builds only that subset.
+ */
+std::vector<Recipe> MakeImageRecipes() {
+  std::vector<Recipe> recipes;
+  std::set<std::string> seen;
+  auto add = [&](Recipe recipe) {
+    if (seen.insert(recipe.name).second) recipes.push_back(std::move(recipe));
+  };
+
+  // Standard torchvision models.
+  for (int depth : {18, 34, 50, 101, 152}) {
+    add(Named(StandardResNetConfig(depth), BuildResNet));
+  }
+  for (int depth : {11, 13, 16, 19}) {
+    add(Named(StandardVggConfig(depth, true), BuildVgg));
+    add(Named(StandardVggConfig(depth, false), BuildVgg));
+  }
+  for (int depth : {121, 161, 169, 201}) {
+    add(Named(StandardDenseNetConfig(depth), BuildDenseNet));
+  }
+  add(Named(ResNeXtConfig(50), BuildResNet));
+  add(Named(ResNeXtConfig(101, 32, 8), BuildResNet));
+  add(Named(WideResNetConfig(50), BuildResNet));
+  add(Named(WideResNetConfig(101), BuildResNet));
+  add({"alexnet", [] { return BuildAlexNet(); }});
+  add({"googlenet", [] { return BuildGoogLeNet(); }});
+  add({"squeezenet1_0", [] { return BuildSqueezeNet(0); }});
+  add({"squeezenet1_1", [] { return BuildSqueezeNet(1); }});
+  add(Named(MobileNetV2Config{}, BuildMobileNetV2));
+  add(Named(ShuffleNetV1Config{}, BuildShuffleNetV1));
+
+  // Bottleneck ResNet depth x width sweep (Figure 4's "non-standard
+  // ResNet" family).
+  for (int blocks = 4; blocks <= 43; ++blocks) {
+    for (std::int64_t width : {32, 48, 64, 96}) {
+      add(Named(ResNetWithBlocksConfig(blocks, width), BuildResNet));
+    }
+  }
+  // ResNet resolution variants.
+  for (int blocks : {8, 16, 24, 32, 40}) {
+    for (std::int64_t resolution : {160, 192, 256}) {
+      add(Named(ResNetWithBlocksConfig(blocks, 64, resolution),
+                BuildResNet));
+    }
+  }
+  // Basic-block ResNets.
+  for (int blocks = 4; blocks <= 25; ++blocks) {
+    add(Named(BasicResNetWithBlocksConfig(blocks), BuildResNet));
+  }
+  // VGG conv-count x width sweep (Figure 4's "non-standard VGG" family).
+  for (int convs = 6; convs <= 30; ++convs) {
+    for (std::int64_t width : {48, 64, 96}) {
+      add(Named(VggWithConvsConfig(convs, width), BuildVgg));
+    }
+  }
+  for (int convs : {8, 11, 13, 16, 19, 24}) {
+    for (std::int64_t resolution : {160, 192, 256}) {
+      add(Named(VggWithConvsConfig(convs, 64, resolution), BuildVgg));
+    }
+  }
+  // DenseNet growth x depth sweep.
+  {
+    const std::vector<std::vector<int>> block_configs = {
+        {2, 4, 8, 6},   {3, 6, 12, 8},  {4, 8, 16, 12},
+        {6, 12, 24, 16}, {6, 12, 32, 32}, {6, 12, 48, 32},
+    };
+    for (std::int64_t growth : {12, 16, 24, 32, 40, 48}) {
+      for (std::size_t cfg = 0; cfg < block_configs.size(); ++cfg) {
+        DenseNetConfig config;
+        config.name = Format("densenet-g%ld-c%zu",
+                             static_cast<long>(growth), cfg);
+        config.block_layers = block_configs[cfg];
+        config.growth_rate = growth;
+        add(Named(std::move(config), BuildDenseNet));
+      }
+    }
+  }
+  // MobileNetV2 width x resolution sweep.
+  for (double width : {0.5, 0.75, 1.0, 1.25, 1.4}) {
+    for (std::int64_t resolution : {160, 192, 224, 256}) {
+      MobileNetV2Config config;
+      config.name = Format("mobilenet_v2-%03d-r%ld",
+                           static_cast<int>(width * 100),
+                           static_cast<long>(resolution));
+      config.width_mult = width;
+      config.input_resolution = resolution;
+      add(Named(std::move(config), BuildMobileNetV2));
+    }
+  }
+  // ShuffleNet v1 groups x scale sweep.
+  for (std::int64_t groups : {1, 2, 3, 4, 8}) {
+    for (double scale : {0.75, 1.0, 1.5, 2.0}) {
+      ShuffleNetV1Config config;
+      config.name = Format("shufflenet_v1-g%ld-s%03d",
+                           static_cast<long>(groups),
+                           static_cast<int>(scale * 100));
+      config.groups = groups;
+      config.scale = scale;
+      add(Named(std::move(config), BuildShuffleNetV1));
+    }
+  }
+  // Top up with deterministic mixnets to the paper's 646.
+  for (int mix_index = 0;
+       recipes.size() < static_cast<std::size_t>(kImageZooSize);
+       ++mix_index) {
+    add({MixNetName(mix_index),
+         [mix_index] { return BuildMixNet(mix_index); }});
+  }
+  GP_CHECK_EQ(recipes.size(), static_cast<std::size_t>(kImageZooSize));
+  return recipes;
+}
+
+/** The transformer recipes: every preset at five sequence lengths. */
+std::vector<Recipe> MakeTransformerRecipes() {
+  std::vector<Recipe> recipes;
+  for (const char* preset :
+       {"bert_tiny", "bert_mini", "bert_small", "bert_medium", "bert_base",
+        "bert_large", "distilbert"}) {
+    for (std::int64_t seq_len : {64, 96, 128, 192, 256}) {
+      recipes.push_back(Named(StandardTransformerConfig(preset, seq_len),
+                              BuildTransformer));
+    }
+  }
+  return recipes;
+}
+
+const std::vector<Recipe>& ImageRecipes() {
+  static const std::vector<Recipe>* const kRecipes =
+      new std::vector<Recipe>(MakeImageRecipes());
+  return *kRecipes;
+}
+
+const std::vector<Recipe>& TransformerRecipes() {
+  static const std::vector<Recipe>* const kRecipes =
+      new std::vector<Recipe>(MakeTransformerRecipes());
+  return *kRecipes;
+}
+
+/** The recipe named `name` in the image table, then the transformer's. */
+const Recipe* FindRecipe(const std::string& name) {
+  for (const std::vector<Recipe>* table :
+       {&ImageRecipes(), &TransformerRecipes()}) {
+    for (const Recipe& recipe : *table) {
+      if (recipe.name == name) return &recipe;
+    }
+  }
+  return nullptr;
+}
+
+/** Builds every `stride`-th recipe of `recipes`. */
+std::vector<Network> BuildEvery(const std::vector<Recipe>& recipes,
+                                std::size_t stride) {
+  std::vector<Network> networks;
+  networks.reserve((recipes.size() + stride - 1) / stride);
+  for (std::size_t i = 0; i < recipes.size(); i += stride) {
+    networks.push_back(Build(recipes[i]));
+  }
+  return networks;
 }
 
 }  // namespace
@@ -130,18 +319,12 @@ StatusOr<Network> TryBuildByName(const std::string& name) {
   if (name == "mobilenet_v2") return BuildMobileNetV2({});
   if (name == "shufflenet_v1") return BuildShuffleNetV1({});
   if (StartsWith(name, "bert_") || name == "distilbert") {
-    // Preset list mirrors BuildStandardTransformer, which Fatals on an
-    // unknown preset (its callers pass literals).
-    static const std::set<std::string>* const kBertPresets =
-        new std::set<std::string>{"bert_tiny", "bert_mini",  "bert_small",
-                                  "bert_medium", "bert_base", "bert_large",
-                                  "distilbert"};
-    if (kBertPresets->count(name) == 0) {
-      return NotFoundError("unknown transformer preset '" + name +
-                           "' (try bert_tiny/mini/small/medium/base/large "
-                           "or distilbert)");
-    }
-    return BuildStandardTransformer(name);
+    // The transformer zoo holds every preset at each of its sequence
+    // lengths ("bert_base", "bert_tiny-s64", ...).
+    if (const Recipe* recipe = FindRecipe(name)) return Build(*recipe);
+    return NotFoundError("unknown transformer preset '" + name +
+                         "' (try bert_tiny/mini/small/medium/base/large "
+                         "or distilbert)");
   }
   if (StartsWith(name, "gpt2")) {
     if (name != "gpt2" && name != "gpt2_medium" && name != "gpt2_large") {
@@ -192,20 +375,9 @@ StatusOr<Network> TryBuildByName(const std::string& name) {
       return BuildStandardVgg(depth, /*batch_norm=*/true);
     }
   }
-  // Fall back to the zoo registry for sweep-variant names such as
+  // Fall back to the zoo's recipes for sweep-variant names such as
   // "vgg-c18-w96" or "mixnet-042".
-  static const std::map<std::string, Network>* const kRegistry = [] {
-    auto* registry = new std::map<std::string, Network>;
-    for (Network& net : ImageClassificationZoo()) {
-      registry->emplace(net.name(), std::move(net));
-    }
-    for (Network& net : TransformerZoo()) {
-      registry->emplace(net.name(), std::move(net));
-    }
-    return registry;
-  }();
-  auto it = kRegistry->find(name);
-  if (it != kRegistry->end()) return it->second;
+  if (const Recipe* recipe = FindRecipe(name)) return Build(*recipe);
   return NotFoundError("unknown network name '" + name +
                        "' (run `gpuperf zoo` for the full list)");
 }
@@ -217,130 +389,16 @@ Network BuildByName(const std::string& name) {
 }
 
 std::vector<Network> ImageClassificationZoo() {
-  std::vector<Network> networks;
-  std::set<std::string> seen;
-  auto add = [&](Network net) {
-    if (seen.insert(net.name()).second) {
-      networks.push_back(std::move(net));
-    }
-  };
-
-  // Standard torchvision models.
-  for (int depth : {18, 34, 50, 101, 152}) add(BuildStandardResNet(depth));
-  for (int depth : {11, 13, 16, 19}) {
-    add(BuildStandardVgg(depth, true));
-    add(BuildStandardVgg(depth, false));
-  }
-  for (int depth : {121, 161, 169, 201}) add(BuildStandardDenseNet(depth));
-  add(BuildResNeXt(50));
-  add(BuildResNeXt(101, 32, 8));
-  add(BuildWideResNet(50));
-  add(BuildWideResNet(101));
-  add(BuildAlexNet());
-  add(BuildGoogLeNet());
-  add(BuildSqueezeNet(0));
-  add(BuildSqueezeNet(1));
-  add(BuildMobileNetV2({}));
-  add(BuildShuffleNetV1({}));
-
-  // Bottleneck ResNet depth x width sweep (Figure 4's "non-standard
-  // ResNet" family).
-  for (int blocks = 4; blocks <= 43; ++blocks) {
-    for (std::int64_t width : {32, 48, 64, 96}) {
-      add(BuildResNetWithBlocks(blocks, width));
-    }
-  }
-  // ResNet resolution variants.
-  for (int blocks : {8, 16, 24, 32, 40}) {
-    for (std::int64_t resolution : {160, 192, 256}) {
-      add(BuildResNetWithBlocks(blocks, 64, resolution));
-    }
-  }
-  // Basic-block ResNets.
-  for (int blocks = 4; blocks <= 25; ++blocks) {
-    add(BuildBasicResNetWithBlocks(blocks));
-  }
-  // VGG conv-count x width sweep (Figure 4's "non-standard VGG" family).
-  for (int convs = 6; convs <= 30; ++convs) {
-    for (std::int64_t width : {48, 64, 96}) {
-      add(BuildVggWithConvs(convs, width));
-    }
-  }
-  for (int convs : {8, 11, 13, 16, 19, 24}) {
-    for (std::int64_t resolution : {160, 192, 256}) {
-      add(BuildVggWithConvs(convs, 64, resolution));
-    }
-  }
-  // DenseNet growth x depth sweep.
-  {
-    const std::vector<std::vector<int>> block_configs = {
-        {2, 4, 8, 6},   {3, 6, 12, 8},  {4, 8, 16, 12},
-        {6, 12, 24, 16}, {6, 12, 32, 32}, {6, 12, 48, 32},
-    };
-    for (std::int64_t growth : {12, 16, 24, 32, 40, 48}) {
-      for (std::size_t cfg = 0; cfg < block_configs.size(); ++cfg) {
-        DenseNetConfig config;
-        config.name = Format("densenet-g%ld-c%zu",
-                             static_cast<long>(growth), cfg);
-        config.block_layers = block_configs[cfg];
-        config.growth_rate = growth;
-        add(BuildDenseNet(config));
-      }
-    }
-  }
-  // MobileNetV2 width x resolution sweep.
-  for (double width : {0.5, 0.75, 1.0, 1.25, 1.4}) {
-    for (std::int64_t resolution : {160, 192, 224, 256}) {
-      MobileNetV2Config config;
-      config.name = Format("mobilenet_v2-%03d-r%ld",
-                           static_cast<int>(width * 100),
-                           static_cast<long>(resolution));
-      config.width_mult = width;
-      config.input_resolution = resolution;
-      add(BuildMobileNetV2(config));
-    }
-  }
-  // ShuffleNet v1 groups x scale sweep.
-  for (std::int64_t groups : {1, 2, 3, 4, 8}) {
-    for (double scale : {0.75, 1.0, 1.5, 2.0}) {
-      ShuffleNetV1Config config;
-      config.name = Format("shufflenet_v1-g%ld-s%03d",
-                           static_cast<long>(groups),
-                           static_cast<int>(scale * 100));
-      config.groups = groups;
-      config.scale = scale;
-      add(BuildShuffleNetV1(config));
-    }
-  }
-  // Top up with deterministic mixnets to the paper's 646.
-  int mix_index = 0;
-  while (networks.size() < static_cast<std::size_t>(kImageZooSize)) {
-    add(BuildMixNet(mix_index++));
-  }
-  GP_CHECK_EQ(networks.size(), static_cast<std::size_t>(kImageZooSize));
-  return networks;
+  return BuildEvery(ImageRecipes(), 1);
 }
 
 std::vector<Network> SmallZoo(int stride) {
   GP_CHECK_GT(stride, 0);
-  std::vector<Network> all = ImageClassificationZoo();
-  std::vector<Network> subset;
-  for (std::size_t i = 0; i < all.size(); i += stride) {
-    subset.push_back(std::move(all[i]));
-  }
-  return subset;
+  return BuildEvery(ImageRecipes(), static_cast<std::size_t>(stride));
 }
 
 std::vector<Network> TransformerZoo() {
-  std::vector<Network> networks;
-  for (const char* preset :
-       {"bert_tiny", "bert_mini", "bert_small", "bert_medium", "bert_base",
-        "bert_large", "distilbert"}) {
-    for (std::int64_t seq_len : {64, 96, 128, 192, 256}) {
-      networks.push_back(BuildStandardTransformer(preset, seq_len));
-    }
-  }
-  return networks;
+  return BuildEvery(TransformerRecipes(), 1);
 }
 
 }  // namespace gpuperf::zoo

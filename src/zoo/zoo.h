@@ -3,12 +3,14 @@
 
 /**
  * @file
- * The model-zoo registry.
+ * The model zoo.
  *
  * The paper collects 646 networks from TorchVision and HuggingFace; this
- * registry reproduces that scale with deterministic parametric sweeps over
+ * zoo reproduces that scale with deterministic parametric sweeps over
  * the implemented families plus a structurally diverse "mixnet" sampler
- * standing in for the long tail of community models.
+ * standing in for the long tail of community models. The zoo is one table
+ * of named recipes, deduplicated by name, so every function below builds
+ * only the networks it returns.
  */
 
 #include <string>
@@ -37,6 +39,8 @@ dnn::Network BuildByName(const std::string& name);
  * As BuildByName, but an unknown or malformed name is a NotFound error
  * (naming the nearest valid spelling rule) instead of a Fatal — the form
  * user-facing tools must use, since the name typically comes from argv.
+ * Any other zoo name (sweep variants such as "vgg-c18-w96", "mixnet-042"
+ * or "bert_tiny-s64") builds that one entry of the zoo.
  */
 [[nodiscard]] StatusOr<dnn::Network> TryBuildByName(const std::string& name);
 

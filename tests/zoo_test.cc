@@ -1,9 +1,12 @@
 #include "zoo/zoo.h"
 
+#include <cstdint>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
+#include "common/string_util.h"
 #include "dnn/flops.h"
 #include "zoo/resnet.h"
 #include "zoo/transformer.h"
@@ -39,6 +42,94 @@ TEST(ZooTest, DeterministicAcrossCalls) {
 
 TEST(ZooTest, SmallZooStrides) {
   EXPECT_EQ(SmallZoo(16).size(), (kImageZooSize + 15) / 16);
+}
+
+/**
+ * Folds what each network of a zoo is into one hash: its summary, name,
+ * family, layer count, FLOPs, parameter count and every layer signature.
+ */
+std::uint64_t ZooDigest(const std::vector<dnn::Network>& networks) {
+  std::uint64_t h = HashCombine(0, networks.size());
+  for (const dnn::Network& net : networks) {
+    h = HashCombine(h, StableHash(net.Summary()));
+    h = HashCombine(h, StableHash(net.name()));
+    h = HashCombine(h, StableHash(net.family()));
+    h = HashCombine(h, net.layers().size());
+    h = HashCombine(h, static_cast<std::uint64_t>(dnn::NetworkFlops(net, 1)));
+    h = HashCombine(h, static_cast<std::uint64_t>(net.ParameterCount()));
+    for (const dnn::Layer& layer : net.layers()) {
+      h = HashCombine(h, StableHash(dnn::LayerSignature(layer)));
+    }
+  }
+  return h;
+}
+
+TEST(ZooTest, MatchesParentGolden) {
+  // Pinned from the zoo that built every network before deduplicating
+  // by the built name: building from named recipes must hand out the
+  // same networks in the same order.
+  struct Golden {
+    const char* label;
+    int stride;  // 0: ImageClassificationZoo(), -1: TransformerZoo()
+    std::uint64_t digest;
+  };
+  static constexpr Golden kGolden[] = {
+      {"full", 0, 0xc7213e7118580bb1ULL},
+      {"stride 1", 1, 0xc7213e7118580bb1ULL},
+      {"stride 4", 4, 0x30b73439fd053ce3ULL},
+      {"stride 7", 7, 0xc057e68a8c21972eULL},
+      {"stride 8", 8, 0xf5abbaa786eec4dfULL},
+      {"stride 16", 16, 0x6248c2ce192e9d18ULL},
+      {"stride 64", 64, 0x27418241119d5b0dULL},
+      {"transformers", -1, 0x9934567f8c8ed373ULL},
+  };
+  for (const Golden& golden : kGolden) {
+    const std::vector<dnn::Network> networks =
+        golden.stride == 0    ? ImageClassificationZoo()
+        : golden.stride == -1 ? TransformerZoo()
+                              : SmallZoo(golden.stride);
+    const std::uint64_t got = ZooDigest(networks);
+    EXPECT_EQ(got, golden.digest)
+        << Format("{\"%s\", %d, 0x%llxULL},", golden.label, golden.stride,
+                  static_cast<unsigned long long>(got));
+  }
+}
+
+TEST(ZooTest, EveryZooNameBuildsByName) {
+  std::vector<dnn::Network> networks = ImageClassificationZoo();
+  for (dnn::Network& net : TransformerZoo()) networks.push_back(std::move(net));
+  for (const dnn::Network& net : networks) {
+    StatusOr<dnn::Network> built = TryBuildByName(net.name());
+    ASSERT_TRUE(built.ok()) << net.name() << ": "
+                            << built.status().message();
+    EXPECT_EQ(built->Summary(), net.Summary()) << net.name();
+  }
+}
+
+TEST(ZooTest, UnknownNamesKeepTheirMessages) {
+  const struct {
+    const char* name;
+    const char* message;
+  } kCases[] = {
+      {"not_a_network",
+       "unknown network name 'not_a_network' (run `gpuperf zoo` for the "
+       "full list)"},
+      {"mixnet-999",
+       "unknown network name 'mixnet-999' (run `gpuperf zoo` for the full "
+       "list)"},
+      {"vgg-c99",
+       "unknown network name 'vgg-c99' (run `gpuperf zoo` for the full "
+       "list)"},
+      {"bert_tiny-s999",
+       "unknown transformer preset 'bert_tiny-s999' (try "
+       "bert_tiny/mini/small/medium/base/large or distilbert)"},
+  };
+  for (const auto& c : kCases) {
+    StatusOr<dnn::Network> built = TryBuildByName(c.name);
+    ASSERT_FALSE(built.ok()) << c.name;
+    EXPECT_EQ(built.status().code(), StatusCode::kNotFound) << c.name;
+    EXPECT_EQ(built.status().message(), c.message);
+  }
 }
 
 TEST(ZooTest, EveryNetworkHasPositiveFlopsAndLayers) {

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -172,14 +173,17 @@ int CmdEval(const Flags& flags) {
   lw.Train(*data, split);
   kw.Train(*data, split);
 
-  // Evaluate against the held-out e2e rows of the dataset itself.
-  TextTable table;
-  table.SetHeader({"GPU", "E2E error", "LW error", "KW error", "test nets"});
-  for (const std::string& gpu_name : kw.TrainedGpus()) {
-    const gpuexec::GpuSpec& gpu = gpuexec::GpuByName(gpu_name);
-    std::vector<double> e2e_pred, lw_pred, kw_pred, measured;
+  // Build each test network once, meeting the rows in the evaluation
+  // loop's order, so an unknown name fails on the same row as it would
+  // there.
+  const std::vector<std::string> gpu_names = kw.TrainedGpus();
+  std::vector<std::optional<dnn::Network>> test_nets(
+      static_cast<std::size_t>(data->networks().size()));
+  for (const std::string& gpu_name : gpu_names) {
     for (const dataset::NetworkRow& row : data->network_rows()) {
-      if (!split.IsTest(row.network_id)) continue;
+      if (!split.IsTest(row.network_id) || test_nets[row.network_id]) {
+        continue;
+      }
       if (data->gpus().Get(row.gpu_id) != gpu_name) continue;
       StatusOr<dnn::Network> net =
           zoo::TryBuildByName(data->networks().Get(row.network_id));
@@ -188,9 +192,23 @@ int CmdEval(const Flags& flags) {
         return UserError(
             annotated.Annotate("dataset references unknown network"));
       }
-      e2e_pred.push_back(e2e.PredictUs(*net, gpu, row.batch));
-      lw_pred.push_back(lw.PredictUs(*net, gpu, row.batch));
-      kw_pred.push_back(kw.PredictUs(*net, gpu, row.batch));
+      test_nets[row.network_id] = std::move(net).value();
+    }
+  }
+
+  // Evaluate against the held-out e2e rows of the dataset itself.
+  TextTable table;
+  table.SetHeader({"GPU", "E2E error", "LW error", "KW error", "test nets"});
+  for (const std::string& gpu_name : gpu_names) {
+    const gpuexec::GpuSpec& gpu = gpuexec::GpuByName(gpu_name);
+    std::vector<double> e2e_pred, lw_pred, kw_pred, measured;
+    for (const dataset::NetworkRow& row : data->network_rows()) {
+      if (!split.IsTest(row.network_id)) continue;
+      if (data->gpus().Get(row.gpu_id) != gpu_name) continue;
+      const dnn::Network& net = *test_nets[row.network_id];
+      e2e_pred.push_back(e2e.PredictUs(net, gpu, row.batch));
+      lw_pred.push_back(lw.PredictUs(net, gpu, row.batch));
+      kw_pred.push_back(kw.PredictUs(net, gpu, row.batch));
       measured.push_back(row.e2e_us);
     }
     if (measured.empty()) continue;
