@@ -76,7 +76,8 @@ BENCHMARK(BM_KwPredictResnet50Cached);
 
 // The compiled-plan batched hot path (perf_gate.sh gates on this): 512
 // queries per sweep cycling the online batch sizes, answered by one
-// PredictMany call over the cached resnet50/A100 plan. items_per_second
+// PredictMany call over the cached resnet50/A100 plan. The queries form
+// one run, so each replay of the plan folds 8 batches. items_per_second
 // is queries/s, so the gate's ns/query is 1e9 / items_per_second.
 void BM_PredictManyResnet50(benchmark::State& state) {
   const Fixture& fixture = Fixture::Get();
@@ -98,11 +99,56 @@ void BM_PredictManyResnet50(benchmark::State& state) {
 }
 BENCHMARK(BM_PredictManyResnet50);
 
+/** A KW model trained on two GPUs, for sweeps that alternate them. */
+struct TwoGpuFixture {
+  models::KwModel kw;
+
+  TwoGpuFixture() {
+    dataset::BuildOptions options;
+    options.gpu_names = {"A100", "V100"};
+    const dataset::Dataset data =
+        dataset::BuildDataset(Fixture::Get().networks, options);
+    kw.Train(data, dataset::SplitByNetwork(data, 0.15, 7));
+  }
+
+  static const TwoGpuFixture& Get() {
+    static const TwoGpuFixture* const kFixture = new TwoGpuFixture();
+    return *kFixture;
+  }
+};
+
+// The same 512 resnet50 queries with the GPU alternating every query
+// (perf_gate.sh gates on this): every run has length 1, so each query is
+// one one-lane replay — the sweep a serving-matrix fill and the
+// campaign's PredictMany take. items_per_second is queries/s.
+void BM_PredictManyResnet50Interleaved(benchmark::State& state) {
+  const Fixture& fixture = Fixture::Get();
+  const models::KwModel& kw = TwoGpuFixture::Get().kw;
+  const gpuexec::GpuSpec* gpus[] = {&gpuexec::GpuByName("A100"),
+                                    &gpuexec::GpuByName("V100")};
+  constexpr std::int64_t kBatches[] = {1, 4, 16, 64};
+  std::vector<models::PredictQuery> queries(512);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    queries[i] = {&fixture.resnet50, gpus[i % 2], kBatches[(i / 2) % 4]};
+  }
+  std::vector<double> out(queries.size());
+  kw.PredictMany(queries, out);  // warm the plan cache
+  for (auto _ : state) {
+    kw.PredictMany(queries, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(queries.size()));
+}
+BENCHMARK(BM_PredictManyResnet50Interleaved);
+
 // A first-sight plan compile (the "cold plan compile" stage): resolve
 // resnet50's layer signatures once, then build its A100 plan. Each
 // iteration compiles on a fresh copy of a never-queried model, so the
 // sid memo and plan cache start empty; copying (and destroying the
-// previous copy) is not timed.
+// previous copy) is not timed. Items are compiles, so perf_gate.sh
+// reads ns per cold plan.
 void BM_KwPlanForColdResnet50(benchmark::State& state) {
   const Fixture& fixture = Fixture::Get();
   const gpuexec::GpuSpec& a100 = gpuexec::GpuByName("A100");
@@ -113,6 +159,7 @@ void BM_KwPlanForColdResnet50(benchmark::State& state) {
     state.ResumeTiming();
     benchmark::DoNotOptimize(model->PlanFor(fixture.resnet50, a100));
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_KwPlanForColdResnet50)->Unit(benchmark::kMicrosecond);
 

@@ -5,7 +5,15 @@
 # kernel row; printed as ns/query) exceeds 2x its checked-in baseline.
 # The rows are
 #   BM_PredictManyResnet50      512 queries answered by one
-#                               compiled-plan PredictMany sweep;
+#                               compiled-plan PredictMany sweep, one
+#                               run folded 8 batches per plan replay;
+#   BM_PredictManyResnet50Interleaved
+#                               the same sweep with the GPU alternating
+#                               every query: one one-lane replay per
+#                               query, as serving and the campaign ask;
+#   BM_KwPlanForColdResnet50    one first-sight plan compile (sid
+#                               resolution plus the KW emitter) on a
+#                               never-queried model copy;
 #   BM_KwPredictResnet50Cached  one per-query PredictUs with the sid
 #                               memo warm;
 #   BM_BuildDatasetSerial       one kernel row of a serial BuildDataset

@@ -88,10 +88,10 @@ class KwModel : public Predictor {
                    std::int64_t batch) const override;
 
   /**
-   * Batched prediction through compiled plans: one flat-array sweep per
-   * query, with plan resolution amortized across same-(network, GPU)
-   * runs. Bit-identical to per-query PredictUs; Fatal (like PredictUs)
-   * on an untrained GPU.
+   * Batched prediction through compiled plans: one plan lookup per
+   * same-(network, GPU) run, and one flat-array sweep per 8 of the run's
+   * batches. Bit-identical to per-query PredictUs; Fatal (like
+   * PredictUs) on an untrained GPU.
    */
   void PredictMany(std::span<const PredictQuery> queries,
                    std::span<double> out_us) const override;

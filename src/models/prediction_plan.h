@@ -11,17 +11,21 @@
  * per-layer emitter (`KwModel::EmitLayer`, `IgkwModel::EmitLayer`)
  * calls `sink.BeginLayer(scale_a, scale_b, label)` and then
  * `sink.AddTerm(per_sample_value, slope, intercept, cluster_id)` per
- * kernel. BatchSum, the one fold, turns the calls into a prediction for
- * one batch (PredictUs); a PredictionPlan records them for one
- * (network, GPU) pair, and EvalUs and models/explain.h replay a plan
- * into a BatchSum. Every path thus runs the same floating-point
- * operations in the same order by construction.
+ * kernel. BatchFold, the one fold, turns the calls into predictions for
+ * a fixed number of batch lanes: one lane (BatchSum) for PredictUs,
+ * PredictLayerUs, EvalUs and models/explain.h, up to eight for
+ * EvalManyUs. A PredictionPlan records the calls for one (network, GPU)
+ * pair and replays them into a fold. Each lane runs the same
+ * floating-point operations in the same order as a one-lane fold of its
+ * batch, so every path agrees bit for bit by construction.
  *
  * Batch size is a *query* axis, not a plan axis: every cost driver
  * (input NCHW, layer FLOPs, output NCHW) is linear in batch
  * (`bench_fig05_batch_linear`), so a term stores the per-sample value
  * and TermUs multiplies it by the query's batch. One plan serves all
- * batch sizes with no hashing, refcounting, dispatch or allocation.
+ * batch sizes with no hashing, refcounting, dispatch or allocation, and
+ * one replay serves up to kMaxLanes of them: the lanes are independent
+ * add chains, so a wide fold is not bound by the latency of one chain.
  *
  * Plans live in a per-model PlanCache keyed by network name (validated
  * against the structural fingerprint, an O(1) read of the hash
@@ -41,6 +45,8 @@
  */
 
 #include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -59,8 +65,13 @@ namespace gpuperf::models {
 
 /**
  * The one term evaluation: the fitted line at the batch-scaled driver
- * value, clamped at zero. Callers keep `batch * per_sample_value` within
- * int64 (the CLI bounds every batch).
+ * value, clamped at zero.
+ *
+ * Precondition: `batch * per_sample_value` fits in int64. It is not
+ * checked here, on the hot path; the CLI's batch bound `cli::kMaxBatch`
+ * (2^20) leaves ~91x headroom over the largest zoo driver value
+ * (`CliTest.BatchBoundKeepsZooProductsInInt64`), and a library caller
+ * with unbounded batches must bound them itself.
  */
 inline double TermUs(std::int64_t batch, std::int64_t per_sample_value,
                      double slope, double intercept) {
@@ -69,17 +80,24 @@ inline double TermUs(std::int64_t batch, std::int64_t per_sample_value,
 }
 
 /**
- * The one layer fold, a sink for one batch size: a layer's TermUs values
- * add into a subtotal, and closing the layer adds
- * `subtotal * scale_a * scale_b` to the total. `scale_a` is the KW
- * per-GPU or IGKW mean calibration (1.0 on layer-wise fallback layers),
- * `scale_b` the IGKW nearest-GPU bandwidth ratio (1.0 otherwise); a 1.0
- * never perturbs a result. Labels and cluster ids are explain-only.
- * BeginLayer closes the open layer; closing a closed one adds +0.
+ * The one layer fold, a sink for `kLanes` batch sizes at once: per lane,
+ * a layer's TermUs values add into a subtotal, and closing the layer
+ * adds `subtotal * scale_a * scale_b` to the lane's total. `scale_a` is
+ * the KW per-GPU or IGKW mean calibration (1.0 on layer-wise fallback
+ * layers), `scale_b` the IGKW nearest-GPU bandwidth ratio (1.0
+ * otherwise); a 1.0 never perturbs a result. Labels and cluster ids are
+ * explain-only. BeginLayer closes the open layer; closing a closed one
+ * adds +0. Every lane runs the operations of a one-lane fold of its
+ * batch in the same order, so its total is bit-identical to BatchSum's.
  */
-class BatchSum {
+template <std::size_t kLanes>
+class BatchFold {
  public:
-  explicit BatchSum(std::int64_t batch) : batch_(batch) {}
+  explicit BatchFold(const std::array<std::int64_t, kLanes>& batches)
+      : batch_(batches) {}
+  explicit BatchFold(std::int64_t batch)
+    requires(kLanes == 1)
+      : batch_{batch} {}
 
   void BeginLayer(double scale_a, double scale_b, const std::string&) {
     CloseLayer();
@@ -87,35 +105,51 @@ class BatchSum {
     scale_b_ = scale_b;
   }
 
-  /** Adds one term to the open layer; returns its TermUs value. */
+  /** Adds one term to every lane's open layer; returns lane 0's TermUs. */
   double AddTerm(std::int64_t per_sample_value, double slope,
                  double intercept, int) {
-    const double us = TermUs(batch_, per_sample_value, slope, intercept);
-    subtotal_ += us;
-    return us;
+    std::array<double, kLanes> us;
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      us[lane] = TermUs(batch_[lane], per_sample_value, slope, intercept);
+      subtotal_[lane] += us[lane];
+    }
+    return us[0];
   }
 
-  /** Folds the open layer into the total; returns that exact addend. */
+  /** Folds the open layer into every lane's total; returns lane 0's addend. */
   double CloseLayer() {
-    const double addend = subtotal_ * scale_a_ * scale_b_;
-    total_ += addend;
-    subtotal_ = 0.0;
-    return addend;
+    std::array<double, kLanes> addend;
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      addend[lane] = subtotal_[lane] * scale_a_ * scale_b_;
+      total_[lane] += addend[lane];
+      subtotal_[lane] = 0.0;
+    }
+    return addend[0];
   }
 
-  /** Closes the open layer; the predicted microseconds. */
-  double TotalUs() {
+  /** Closes the open layer; each lane's predicted microseconds. */
+  const std::array<double, kLanes>& TotalsUs() {
     CloseLayer();
     return total_;
   }
 
+  /** Closes the open layer; the one lane's predicted microseconds. */
+  double TotalUs()
+    requires(kLanes == 1)
+  {
+    return TotalsUs()[0];
+  }
+
  private:
-  std::int64_t batch_;
+  std::array<std::int64_t, kLanes> batch_;
   double scale_a_ = 1.0;
   double scale_b_ = 1.0;
-  double subtotal_ = 0.0;
-  double total_ = 0.0;
+  std::array<double, kLanes> subtotal_{};
+  std::array<double, kLanes> total_{};
 };
+
+/** The one-lane fold: PredictUs, PredictLayerUs, EvalUs, ExplainPlan. */
+using BatchSum = BatchFold<1>;
 
 /**
  * A compiled (network, GPU) prediction program: the emitter's calls,
@@ -129,8 +163,21 @@ class PredictionPlan {
   void AddTerm(std::int64_t per_sample_value, double slope, double intercept,
                int cluster_id);
 
+  /** The most batches one replay folds (EvalManyUs). */
+  static constexpr std::size_t kMaxLanes = 8;
+
   /** Predicted end-to-end microseconds for one batch size. */
   double EvalUs(std::int64_t batch) const;
+
+  /**
+   * `out[i]` = EvalUs(batches[i]), bit for bit, for equal-length spans.
+   * Each replay of the plan folds the most batches left that an 8-, 4-,
+   * 2- or 1-lane fold holds: 8 batches take one replay, 7 take three.
+   * Same precondition as TermUs: each `batch * per_sample_value` fits
+   * in int64.
+   */
+  void EvalManyUs(std::span<const std::int64_t> batches,
+                  std::span<double> out) const;
 
   /** Replays the recorded sink calls, in order, into `sink`. */
   template <typename Sink>
@@ -255,27 +302,50 @@ namespace internal {
 void CountPlanQueries(std::uint64_t n);
 
 /**
- * The PredictMany sweep of the plan-compiling models. Queries for the
- * same (network, GPU) pair tend to arrive in runs — a serving matrix
- * fill is one row per network — so the plan is looked up once per run
- * with `plan_for(network, gpu)` and steady state is pure EvalUs: no
- * hashing, no locks, no allocation.
+ * The run splitter of every PredictMany sweep: calls `fn(run, first)`
+ * for each maximal run of consecutive queries for one (network, GPU)
+ * pair, in order, where `first` is the run's offset in `queries`.
+ * Queries tend to arrive in such runs (a batch-size scan is one run per
+ * pair), so per-pair work — a plan lookup, a tier decision — is done
+ * once per run.
+ */
+template <typename RunFn>
+void ForEachRun(std::span<const PredictQuery> queries, const RunFn& fn) {
+  std::size_t first = 0;
+  while (first < queries.size()) {
+    const PredictQuery& head = queries[first];
+    std::size_t end = first + 1;
+    while (end < queries.size() && queries[end].network == head.network &&
+           queries[end].gpu == head.gpu) {
+      ++end;
+    }
+    fn(queries.subspan(first, end - first), first);
+    first = end;
+  }
+}
+
+/**
+ * Answers one run's queries from its pair's plan, `out_us[i]` for
+ * `run[i]`: up to PredictionPlan::kMaxLanes batches per replay, so a
+ * run of one takes the one-lane fold.
+ */
+void EvalRun(const PredictionPlan& plan, std::span<const PredictQuery> run,
+             std::span<double> out_us);
+
+/**
+ * The PredictMany sweep of the plan-compiling models: the plan is
+ * looked up once per run with `plan_for(network, gpu)`, and each run is
+ * one EvalRun — no hashing, no locks, no allocation.
  */
 template <typename PlanForFn>
 void SweepPlans(std::span<const PredictQuery> queries,
                 std::span<double> out_us, const PlanForFn& plan_for) {
   GP_CHECK_EQ(queries.size(), out_us.size());
-  const PredictQuery* run = nullptr;
-  const PredictionPlan* plan = nullptr;
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const PredictQuery& query = queries[i];
-    if (run == nullptr || query.network != run->network ||
-        query.gpu != run->gpu) {
-      plan = plan_for(*query.network, *query.gpu);
-      run = &query;
-    }
-    out_us[i] = plan->EvalUs(query.batch);
-  }
+  ForEachRun(queries, [&](std::span<const PredictQuery> run,
+                          std::size_t first) {
+    EvalRun(*plan_for(*run.front().network, *run.front().gpu), run,
+            out_us.subspan(first, run.size()));
+  });
   CountPlanQueries(queries.size());
 }
 

@@ -1,5 +1,6 @@
 #include "models/predictor_stack.h"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -128,50 +129,34 @@ void PredictorStack::PredictManySwept(std::span<const PredictQuery> queries,
   const std::shared_ptr<const KwModel> kw_snapshot = kw_;
   const KwModel* kw = kw_snapshot.get();
 
-  const dnn::Network* last_network = nullptr;
-  const gpuexec::GpuSpec* last_gpu = nullptr;
-  PredictorTier tier = PredictorTier::kNone;
-  const PredictionPlan* plan = nullptr;  // set iff tier == kKw
   std::uint64_t tally[4] = {0, 0, 0, 0};
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    const PredictQuery& query = queries[i];
-    if (query.network != last_network || query.gpu != last_gpu) {
-      // Tier selection depends only on the (network, GPU) pair, so it —
-      // and the KW plan resolution — is memoized across a run of
-      // same-pair queries (e.g. a batch-size scan).
-      plan = nullptr;
-      if (kw != nullptr && kw->CoverageFor(*query.network, query.gpu->name)
-                               .Full()) {
-        tier = PredictorTier::kKw;
-        plan = kw->PlanFor(*query.network, *query.gpu);
-      } else if (lw_.has_value() && lw_gpus_.count(query.gpu->name) > 0) {
-        tier = PredictorTier::kLw;
-      } else if (e2e_.has_value() &&
-                 e2e_->TryFitFor(query.gpu->name) != nullptr) {
-        tier = PredictorTier::kE2e;
-      } else {
-        tier = PredictorTier::kNone;
+  internal::ForEachRun(queries, [&](std::span<const PredictQuery> run,
+                                    std::size_t first) {
+    // Tier selection depends only on the (network, GPU) pair, so it —
+    // and the KW plan — is resolved once per run.
+    const dnn::Network& network = *run.front().network;
+    const gpuexec::GpuSpec& gpu = *run.front().gpu;
+    const std::span<double> out = out_us.subspan(first, run.size());
+    PredictorTier tier = PredictorTier::kNone;
+    if (kw != nullptr && kw->CoverageFor(network, gpu.name).Full()) {
+      tier = PredictorTier::kKw;
+      internal::EvalRun(*kw->PlanFor(network, gpu), run, out);
+    } else if (lw_.has_value() && lw_gpus_.count(gpu.name) > 0) {
+      tier = PredictorTier::kLw;
+      for (std::size_t i = 0; i < run.size(); ++i) {
+        out[i] = lw_->PredictUs(network, gpu, run[i].batch);
       }
-      last_network = query.network;
-      last_gpu = query.gpu;
+    } else if (e2e_.has_value() && e2e_->TryFitFor(gpu.name) != nullptr) {
+      tier = PredictorTier::kE2e;
+      for (std::size_t i = 0; i < run.size(); ++i) {
+        out[i] = e2e_->PredictUs(network, gpu, run[i].batch);
+      }
+    } else {
+      std::fill(out.begin(), out.end(), 0.0);  // as PredictUs answers
     }
-    switch (tier) {
-      case PredictorTier::kKw:
-        out_us[i] = plan->EvalUs(query.batch);
-        break;
-      case PredictorTier::kLw:
-        out_us[i] = lw_->PredictUs(*query.network, *query.gpu, query.batch);
-        break;
-      case PredictorTier::kE2e:
-        out_us[i] = e2e_->PredictUs(*query.network, *query.gpu, query.batch);
-        break;
-      case PredictorTier::kNone:
-        out_us[i] = 0.0;  // PredictUs maps an uncovered query to 0
-        break;
-    }
-    if (tiers != nullptr) tiers[i] = tier;
-    ++tally[static_cast<int>(tier)];
-  }
+    if (tiers != nullptr) std::fill_n(tiers + first, run.size(), tier);
+    tally[static_cast<int>(tier)] += run.size();
+  });
 
   // Counters carry the same totals as per-query calls, bumped once per
   // sweep with the aggregated tallies.

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cli_flags.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "dataset/builder.h"
@@ -314,6 +315,122 @@ TEST(PredictionPlanTest, StackPredictManyMatchesTiersAndPredictUs) {
                                             *queries[i].gpu, queries[i].batch);
     EXPECT_TRUE(BitEqual(batched[i], expected)) << "query " << i;
   }
+
+  // A KW run that an LW-tier query breaks in the middle: two KW runs
+  // (3 and 4 batches, multi-lane folds) around one LW query.
+  const gpuexec::GpuSpec& a100 = gpuexec::GpuByName("A100");
+  const dnn::Network* kw_net = &campaign.networks[0];
+  const std::vector<PredictQuery> broken = {
+      {kw_net, &a100, 1},  {kw_net, &a100, 16}, {kw_net, &a100, 4},
+      {&exotic, &a100, 8}, {kw_net, &a100, 64}, {kw_net, &a100, 2},
+      {kw_net, &a100, 64}, {kw_net, &a100, 32}};
+  stack.ResetCounters();
+  batched.assign(broken.size(), 0.0);
+  tiers.assign(broken.size(), PredictorTier::kNone);
+  stack.PredictManyWithTiers(broken, batched, tiers);
+  counters = stack.counters();
+  EXPECT_EQ(counters.kw_hits, 7u);
+  EXPECT_EQ(counters.lw_fallbacks, 1u);
+  EXPECT_EQ(counters.total(), broken.size());
+  for (std::size_t i = 0; i < broken.size(); ++i) {
+    EXPECT_EQ(tiers[i], broken[i].network == &exotic ? PredictorTier::kLw
+                                                     : PredictorTier::kKw)
+        << "query " << i;
+    EXPECT_TRUE(BitEqual(batched[i],
+                         stack.PredictUs(*broken[i].network, *broken[i].gpu,
+                                         broken[i].batch)))
+        << "query " << i;
+  }
+}
+
+/**
+ * Batch lists of every length 1-19, so every tail of EvalManyUs's
+ * 8/4/2/1 lane split is hit, in ascending, descending and repeated
+ * orders. Each list reaches the CLI's largest batch.
+ */
+std::vector<std::vector<std::int64_t>> EveryRunLength() {
+  constexpr std::int64_t kPool[] = {1,   2,   3,   4,    5,  7,   8,
+                                    12,  16,  24,  32,   48, 64,  100,
+                                    128, 256, 512, 1000, cli::kMaxBatch};
+  constexpr std::size_t kPoolSize = std::size(kPool);
+  std::vector<std::vector<std::int64_t>> lists;
+  for (std::size_t length = 1; length <= kPoolSize; ++length) {
+    const std::vector<std::int64_t> ascending(kPool + kPoolSize - length,
+                                              kPool + kPoolSize);
+    std::vector<std::int64_t> repeated;  // kMaxBatch, kMaxBatch, 1000, ...
+    for (std::size_t i = 0; i < length; ++i) {
+      repeated.push_back(kPool[kPoolSize - 1 - i / 2]);
+    }
+    lists.push_back(ascending);
+    lists.emplace_back(ascending.rbegin(), ascending.rend());
+    lists.push_back(repeated);
+  }
+  return lists;
+}
+
+/**
+ * Every list through EvalManyUs, and through PredictMany as runs that a
+ * one-query run on the next GPU separates, plus an (A, A, B, A, A)
+ * pattern of runs; every result bitwise against PredictUs.
+ */
+template <typename Model>
+void ExpectEveryRunLengthMatchesPredictUs(
+    const Model& model, const std::vector<const dnn::Network*>& networks,
+    const std::vector<gpuexec::GpuSpec>& gpus) {
+  const std::vector<std::vector<std::int64_t>> lists = EveryRunLength();
+  for (const dnn::Network* network : networks) {
+    for (std::size_t g = 0; g < gpus.size(); ++g) {
+      const gpuexec::GpuSpec& a = gpus[g];
+      const gpuexec::GpuSpec& b = gpus[(g + 1) % gpus.size()];
+      const PredictionPlan* plan = model.PlanFor(*network, a);
+      std::vector<PredictQuery> sweep;
+      for (const std::vector<std::int64_t>& batches : lists) {
+        std::vector<double> out(batches.size());
+        plan->EvalManyUs(batches, out);
+        for (std::size_t i = 0; i < batches.size(); ++i) {
+          EXPECT_TRUE(
+              BitEqual(out[i], model.PredictUs(*network, a, batches[i])))
+              << network->name() << " on " << a.name << ", lane " << i
+              << " of " << batches.size() << ", batch " << batches[i];
+        }
+        for (std::int64_t batch : batches) {
+          sweep.push_back({network, &a, batch});
+        }
+        sweep.push_back({network, &b, batches.front()});
+      }
+      for (const gpuexec::GpuSpec* gpu : {&a, &a, &b, &a, &a}) {
+        const auto batch = static_cast<std::int64_t>(sweep.size() % 64 + 1);
+        sweep.push_back({network, gpu, batch});
+      }
+      std::vector<double> swept(sweep.size());
+      model.PredictMany(sweep, swept);
+      for (std::size_t i = 0; i < sweep.size(); ++i) {
+        EXPECT_TRUE(BitEqual(
+            swept[i],
+            model.PredictUs(*network, *sweep[i].gpu, sweep[i].batch)))
+            << network->name() << " on " << sweep[i].gpu->name
+            << ", sweep query " << i << ", batch " << sweep[i].batch;
+      }
+    }
+  }
+}
+
+TEST(PredictionPlanTest, EvalManyMatchesPredictUsForEveryRunLength) {
+  const FullGpuCampaign& campaign = FullGpuCampaign::Get();
+  const dnn::Network exotic = ExoticNetwork();
+  ASSERT_FALSE(campaign.kw.CoverageFor(exotic, "A100").Full())
+      << "exotic network must take layer-wise fallback terms";
+  std::vector<const dnn::Network*> networks;
+  for (const dnn::Network& network : campaign.networks) {
+    networks.push_back(&network);
+  }
+  networks.push_back(&exotic);
+
+  ExpectEveryRunLengthMatchesPredictUs(campaign.kw, networks,
+                                       gpuexec::AllGpus());
+  IgkwModel igkw;
+  igkw.Train(campaign.data, campaign.split, {"A100", "A40", "TITAN RTX"});
+  ExpectEveryRunLengthMatchesPredictUs(igkw, networks, IgkwTargets());
 }
 
 TEST(PredictionPlanTest, ServingMatrixFillMatchesPerCellLoop) {
