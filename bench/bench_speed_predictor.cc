@@ -99,37 +99,21 @@ void BM_PredictManyResnet50(benchmark::State& state) {
 }
 BENCHMARK(BM_PredictManyResnet50);
 
-/** A KW model trained on two GPUs, for sweeps that alternate them. */
-struct TwoGpuFixture {
-  models::KwModel kw;
-
-  TwoGpuFixture() {
-    dataset::BuildOptions options;
-    options.gpu_names = {"A100", "V100"};
-    const dataset::Dataset data =
-        dataset::BuildDataset(Fixture::Get().networks, options);
-    kw.Train(data, dataset::SplitByNetwork(data, 0.15, 7));
-  }
-
-  static const TwoGpuFixture& Get() {
-    static const TwoGpuFixture* const kFixture = new TwoGpuFixture();
-    return *kFixture;
-  }
-};
-
-// The same 512 resnet50 queries with the GPU alternating every query
-// (perf_gate.sh gates on this): every run has length 1, so each query is
-// one one-lane replay — the sweep a serving-matrix fill and the
-// campaign's PredictMany take. items_per_second is queries/s.
+// The same 512 A100 queries with the network alternating every query
+// between resnet50 and the fixture's first zoo network (perf_gate.sh
+// gates on this): every run has length 1, so each query is one one-lane
+// replay — the sweep a serving-matrix fill and the campaign's
+// PredictMany take. items_per_second is queries/s.
 void BM_PredictManyResnet50Interleaved(benchmark::State& state) {
   const Fixture& fixture = Fixture::Get();
-  const models::KwModel& kw = TwoGpuFixture::Get().kw;
-  const gpuexec::GpuSpec* gpus[] = {&gpuexec::GpuByName("A100"),
-                                    &gpuexec::GpuByName("V100")};
+  const models::KwModel& kw = fixture.kw;
+  const gpuexec::GpuSpec& a100 = gpuexec::GpuByName("A100");
+  const dnn::Network* networks[] = {&fixture.resnet50,
+                                    &fixture.networks.front()};
   constexpr std::int64_t kBatches[] = {1, 4, 16, 64};
   std::vector<models::PredictQuery> queries(512);
   for (std::size_t i = 0; i < queries.size(); ++i) {
-    queries[i] = {&fixture.resnet50, gpus[i % 2], kBatches[(i / 2) % 4]};
+    queries[i] = {networks[i % 2], &a100, kBatches[(i / 2) % 4]};
   }
   std::vector<double> out(queries.size());
   kw.PredictMany(queries, out);  // warm the plan cache

@@ -8,9 +8,10 @@
 #                               compiled-plan PredictMany sweep, one
 #                               run folded 8 batches per plan replay;
 #   BM_PredictManyResnet50Interleaved
-#                               the same sweep with the GPU alternating
-#                               every query: one one-lane replay per
-#                               query, as serving and the campaign ask;
+#                               the same sweep with the network
+#                               alternating every query: one one-lane
+#                               replay per query, as serving and the
+#                               campaign ask;
 #   BM_KwPlanForColdResnet50    one first-sight plan compile (sid
 #                               resolution plus the KW emitter) on a
 #                               never-queried model copy;

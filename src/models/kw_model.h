@@ -89,8 +89,8 @@ class KwModel : public Predictor {
 
   /**
    * Batched prediction through compiled plans: one plan lookup per
-   * same-(network, GPU) run, and one flat-array sweep per 8 of the run's
-   * batches. Bit-identical to per-query PredictUs; Fatal (like
+   * same-(network, GPU) run, and one flat-array sweep per whole 8 of the
+   * run's batches and per batch left. Bit-identical to per-query PredictUs; Fatal (like
    * PredictUs) on an untrained GPU.
    */
   void PredictMany(std::span<const PredictQuery> queries,

@@ -1,7 +1,6 @@
 #include "models/prediction_plan.h"
 
 #include <algorithm>
-#include <array>
 #include <sstream>
 
 #include "obs/metrics_registry.h"
@@ -60,51 +59,18 @@ void PredictionPlan::AddTerm(std::int64_t per_sample_value, double slope,
   layer_end_.back() = static_cast<std::uint32_t>(value_.size());
 }
 
-namespace {
-
-/** One replay folding exactly `kLanes` batches into `out`. */
-template <std::size_t kLanes>
-void EvalLanes(const PredictionPlan& plan, const std::int64_t* batches,
-               double* out) {
-  std::array<std::int64_t, kLanes> lanes;
-  std::copy_n(batches, kLanes, lanes.begin());
-  BatchFold<kLanes> fold(lanes);
-  plan.Replay(fold);
-  std::copy_n(fold.TotalsUs().begin(), kLanes, out);
-}
-
-}  // namespace
-
-void PredictionPlan::EvalManyUs(std::span<const std::int64_t> batches,
-                                std::span<double> out) const {
-  GP_CHECK_EQ(batches.size(), out.size());
-  // Each replay takes the widest fold that the batches left fill, so no
-  // lane is wasted: per lane, a wider fold is cheaper up to 4 lanes and
-  // about level beyond (a padded lane would cost as much as a real one).
-  static_assert(kMaxLanes == 8);
-  std::size_t i = 0;
-  while (i < batches.size()) {
-    const std::size_t left = batches.size() - i;
-    if (left >= 8) {
-      EvalLanes<8>(*this, &batches[i], &out[i]);
-      i += 8;
-    } else if (left >= 4) {
-      EvalLanes<4>(*this, &batches[i], &out[i]);
-      i += 4;
-    } else if (left >= 2) {
-      EvalLanes<2>(*this, &batches[i], &out[i]);
-      i += 2;
-    } else {
-      EvalLanes<1>(*this, &batches[i], &out[i]);
-      i += 1;
-    }
-  }
+void PredictionPlan::EvalMaxLanesUs(
+    std::span<const std::int64_t, kMaxLanes> batches,
+    std::span<double, kMaxLanes> out) const {
+  BatchFold<kMaxLanes> fold(batches);
+  Replay(fold);
+  std::copy_n(fold.TotalsUs().begin(), kMaxLanes, out.begin());
 }
 
 double PredictionPlan::EvalUs(std::int64_t batch) const {
-  double us = 0.0;
-  EvalManyUs({&batch, 1}, {&us, 1});
-  return us;
+  BatchSum sum(batch);
+  Replay(sum);
+  return sum.TotalUs();
 }
 
 PlanCache::PlanCache(const PlanCache& other) {
@@ -191,18 +157,6 @@ namespace internal {
 
 void CountPlanQueries(std::uint64_t n) {
   PlanMetrics::Get().queries.Increment(n);
-}
-
-void EvalRun(const PredictionPlan& plan, std::span<const PredictQuery> run,
-             std::span<double> out_us) {
-  std::array<std::int64_t, PredictionPlan::kMaxLanes> batches;
-  for (std::size_t first = 0; first < run.size();
-       first += PredictionPlan::kMaxLanes) {
-    const std::size_t n =
-        std::min(PredictionPlan::kMaxLanes, run.size() - first);
-    for (std::size_t i = 0; i < n; ++i) batches[i] = run[first + i].batch;
-    plan.EvalManyUs(std::span(batches.data(), n), out_us.subspan(first, n));
-  }
 }
 
 }  // namespace internal

@@ -13,9 +13,9 @@
  * `sink.AddTerm(per_sample_value, slope, intercept, cluster_id)` per
  * kernel. BatchFold, the one fold, turns the calls into predictions for
  * a fixed number of batch lanes: one lane (BatchSum) for PredictUs,
- * PredictLayerUs, EvalUs and models/explain.h, up to eight for
- * EvalManyUs. A PredictionPlan records the calls for one (network, GPU)
- * pair and replays them into a fold. Each lane runs the same
+ * PredictLayerUs, EvalUs and models/explain.h, eight for each whole
+ * chunk of EvalManyUs. A PredictionPlan records the calls for one
+ * (network, GPU) pair and replays them into a fold. Each lane runs the same
  * floating-point operations in the same order as a one-lane fold of its
  * batch, so every path agrees bit for bit by construction.
  *
@@ -24,7 +24,7 @@
  * (`bench_fig05_batch_linear`), so a term stores the per-sample value
  * and TermUs multiplies it by the query's batch. One plan serves all
  * batch sizes with no hashing, refcounting, dispatch or allocation, and
- * one replay serves up to kMaxLanes of them: the lanes are independent
+ * one replay serves kMaxLanes of them: the lanes are independent
  * add chains, so a wide fold is not bound by the latency of one chain.
  *
  * Plans live in a per-model PlanCache keyed by network name (validated
@@ -93,8 +93,9 @@ inline double TermUs(std::int64_t batch, std::int64_t per_sample_value,
 template <std::size_t kLanes>
 class BatchFold {
  public:
-  explicit BatchFold(const std::array<std::int64_t, kLanes>& batches)
-      : batch_(batches) {}
+  explicit BatchFold(std::span<const std::int64_t, kLanes> batches) {
+    std::copy(batches.begin(), batches.end(), batch_.begin());
+  }
   explicit BatchFold(std::int64_t batch)
     requires(kLanes == 1)
       : batch_{batch} {}
@@ -163,7 +164,7 @@ class PredictionPlan {
   void AddTerm(std::int64_t per_sample_value, double slope, double intercept,
                int cluster_id);
 
-  /** The most batches one replay folds (EvalManyUs). */
+  /** The batches one wide replay folds (EvalManyUs). */
   static constexpr std::size_t kMaxLanes = 8;
 
   /** Predicted end-to-end microseconds for one batch size. */
@@ -171,13 +172,21 @@ class PredictionPlan {
 
   /**
    * `out[i]` = EvalUs(batches[i]), bit for bit, for equal-length spans.
-   * Each replay of the plan folds the most batches left that an 8-, 4-,
-   * 2- or 1-lane fold holds: 8 batches take one replay, 7 take three.
+   * Each whole chunk of kMaxLanes batches takes one replay of the plan
+   * into a kMaxLanes-lane fold; the batches left take one EvalUs each.
    * Same precondition as TermUs: each `batch * per_sample_value` fits
    * in int64.
    */
   void EvalManyUs(std::span<const std::int64_t> batches,
-                  std::span<double> out) const;
+                  std::span<double> out) const {
+    GP_CHECK_EQ(batches.size(), out.size());
+    std::size_t i = 0;
+    for (; batches.size() - i >= kMaxLanes; i += kMaxLanes) {
+      EvalMaxLanesUs(batches.subspan(i).first<kMaxLanes>(),
+                     out.subspan(i).first<kMaxLanes>());
+    }
+    for (; i < batches.size(); ++i) out[i] = EvalUs(batches[i]);
+  }
 
   /** Replays the recorded sink calls, in order, into `sink`. */
   template <typename Sink>
@@ -201,6 +210,10 @@ class PredictionPlan {
   double layer_scale_b(std::size_t layer) const { return scale_b_[layer]; }
 
  private:
+  /** One replay of the plan into a kMaxLanes-lane fold. */
+  void EvalMaxLanesUs(std::span<const std::int64_t, kMaxLanes> batches,
+                      std::span<double, kMaxLanes> out) const;
+
   // Terms (SoA): per-sample cost-driver value and fitted line.
   std::vector<std::int64_t> value_;
   std::vector<double> slope_;
@@ -326,11 +339,21 @@ void ForEachRun(std::span<const PredictQuery> queries, const RunFn& fn) {
 
 /**
  * Answers one run's queries from its pair's plan, `out_us[i]` for
- * `run[i]`: up to PredictionPlan::kMaxLanes batches per replay, so a
- * run of one takes the one-lane fold.
+ * `run[i]`, through EvalManyUs up to kMaxLanes batches at a time: a run
+ * of eight takes one wide replay, a run of one one EvalUs.
  */
-void EvalRun(const PredictionPlan& plan, std::span<const PredictQuery> run,
-             std::span<double> out_us);
+inline void EvalRun(const PredictionPlan& plan,
+                    std::span<const PredictQuery> run,
+                    std::span<double> out_us) {
+  std::array<std::int64_t, PredictionPlan::kMaxLanes> batches;
+  for (std::size_t first = 0; first < run.size();
+       first += PredictionPlan::kMaxLanes) {
+    const std::size_t n =
+        std::min(PredictionPlan::kMaxLanes, run.size() - first);
+    for (std::size_t i = 0; i < n; ++i) batches[i] = run[first + i].batch;
+    plan.EvalManyUs(std::span(batches.data(), n), out_us.subspan(first, n));
+  }
+}
 
 /**
  * The PredictMany sweep of the plan-compiling models: the plan is

@@ -103,10 +103,10 @@ class PredictorStack : public Predictor {
    * PredictUs), but amortized across the sweep: the KW generation
    * shared_ptr is snapshotted once per call instead of once per query,
    * the tier and the compiled KW plan are resolved once per
-   * same-(network, GPU) run (internal::ForEachRun), a KW run folds up
-   * to 8 batches per plan replay (internal::EvalRun), and counters are
-   * bumped once per sweep with the aggregated tallies. Bit-identical to
-   * per-query PredictUs.
+   * same-(network, GPU) run (internal::ForEachRun), a KW run folds
+   * each whole 8 of its batches in one plan replay (internal::EvalRun),
+   * and counters are bumped once per sweep with the aggregated tallies.
+   * Bit-identical to per-query PredictUs.
    */
   void PredictMany(std::span<const PredictQuery> queries,
                    std::span<double> out_us) const override;

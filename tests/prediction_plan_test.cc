@@ -344,9 +344,10 @@ TEST(PredictionPlanTest, StackPredictManyMatchesTiersAndPredictUs) {
 }
 
 /**
- * Batch lists of every length 1-19, so every tail of EvalManyUs's
- * 8/4/2/1 lane split is hit, in ascending, descending and repeated
- * orders. Each list reaches the CLI's largest batch.
+ * Batch lists of every length 1-19, so 0, 1 and 2 whole 8-lane chunks
+ * of EvalManyUs meet every one-lane tail of 0-7 batches, in ascending,
+ * descending and repeated orders. Each list reaches the CLI's largest
+ * batch.
  */
 std::vector<std::vector<std::int64_t>> EveryRunLength() {
   constexpr std::int64_t kPool[] = {1,   2,   3,   4,    5,  7,   8,
