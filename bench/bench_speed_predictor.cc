@@ -12,6 +12,7 @@
 #include "gpuexec/lowering.h"
 #include "gpuexec/profiler.h"
 #include "models/e2e_model.h"
+#include "models/igkw_model.h"
 #include "models/kw_model.h"
 #include "models/lw_model.h"
 #include "models/predictor_stack.h"
@@ -146,6 +147,43 @@ void BM_KwPlanForColdResnet50(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_KwPlanForColdResnet50)->Unit(benchmark::kMicrosecond);
+
+/**
+ * An IGKW model fit on A100 and V100 and never queried. IGKW needs two
+ * training GPUs and the shared fixture profiles one, so this builds its
+ * own two-GPU dataset of the same networks, on first use.
+ */
+const models::IgkwModel& NeverQueriedIgkw() {
+  static const models::IgkwModel* const kModel = [] {
+    const Fixture& fixture = Fixture::Get();
+    dataset::BuildOptions options;
+    options.gpu_names = {"A100", "V100"};
+    const dataset::Dataset data =
+        dataset::BuildDataset(fixture.networks, options);
+    auto* model = new models::IgkwModel();
+    model->Train(data, dataset::SplitByNetwork(data, 0.15, 7),
+                 {"A100", "V100"});
+    return model;
+  }();
+  return *kModel;
+}
+
+// BM_KwPlanForColdResnet50's IGKW twin: one first-sight resnet50 plan
+// for A40, a GPU outside IGKW's training set, on a fresh copy of a
+// never-queried model (the copy is not timed). Items are compiles.
+void BM_IgkwPlanForColdResnet50(benchmark::State& state) {
+  const models::IgkwModel& never_queried = NeverQueriedIgkw();
+  const gpuexec::GpuSpec& a40 = gpuexec::GpuByName("A40");
+  std::optional<models::IgkwModel> model;
+  for (auto _ : state) {
+    state.PauseTiming();
+    model.emplace(never_queried);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(model->PlanFor(Fixture::Get().resnet50, a40));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_IgkwPlanForColdResnet50)->Unit(benchmark::kMicrosecond);
 
 // A full serving-matrix refresh (the zoo x pool grid the dispatcher
 // consumes): coverage pass + one PredictMany sweep + scatter.

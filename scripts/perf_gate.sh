@@ -15,6 +15,9 @@
 #   BM_KwPlanForColdResnet50    one first-sight plan compile (sid
 #                               resolution plus the KW emitter) on a
 #                               never-queried model copy;
+#   BM_IgkwPlanForColdResnet50  the same for IGKW (fit on A100 and
+#                               V100) and A40, a GPU outside its
+#                               training set;
 #   BM_KwPredictResnet50Cached  one per-query PredictUs with the sid
 #                               memo warm;
 #   BM_BuildDatasetSerial       one kernel row of a serial BuildDataset
@@ -33,7 +36,11 @@
 #   BM_ServingChaosLongHorizon  one arrival of a 240 s chaos serving run
 #                               (bench_speed_simsys): the event loop,
 #                               dispatch, fault/chaos cursors and the
-#                               latency percentiles.
+#                               latency percentiles;
+#   BM_RecorderTimelineCsvServing
+#                               one timeline CSV export of a 240 s
+#                               serve-sim cell's recorded frames
+#                               (bench_speed_obs), ~86k rows;
 #   BM_SmallZooStride8          one network of the campaign's
 #                               SmallZoo(8): the zoo builds only the
 #                               networks it hands out.

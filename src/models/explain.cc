@@ -3,13 +3,19 @@
 #include <map>
 #include <string>
 
+#include "common/logging.h"
+
 namespace gpuperf::models {
 
 namespace {
 
-/** Records each term and layer addend while a BatchSum folds them. */
+/**
+ * Records each term and layer addend while a BatchSum folds them; plan
+ * layer i is labelled with the network's layer i.
+ */
 struct ExplainSink {
   BatchSum sum;
+  const std::vector<dnn::Layer>& network_layers;
   PredictionBreakdown& out;
   std::map<int, ClusterContribution> clusters{};  // sorted: deterministic
   double scale_a = 1.0;  // the open layer's scales
@@ -21,12 +27,13 @@ struct ExplainSink {
     if (!out.layers.empty()) out.layers.back().us = addend;
   }
 
-  void BeginLayer(double a, double b, const std::string& label) {
+  void BeginLayer(double a, double b) {
     CloseLayer();
-    sum.BeginLayer(a, b, label);
+    sum.BeginLayer(a, b);
     scale_a = a;
     scale_b = b;
-    out.layers.push_back({out.layers.size(), label});
+    const std::size_t index = out.layers.size();
+    out.layers.push_back({index, network_layers[index].name});
   }
 
   void AddTerm(std::int64_t per_sample_value, double slope, double intercept,
@@ -48,11 +55,15 @@ struct ExplainSink {
 }  // namespace
 
 PredictionBreakdown ExplainPlan(const PredictionPlan& plan,
+                                const dnn::Network& network,
                                 std::int64_t batch) {
+  GP_CHECK_EQ(plan.layer_count(), network.layers().size())
+      << "ExplainPlan: the plan was not compiled from network "
+      << network.name();
   PredictionBreakdown out;
   out.layers.reserve(plan.layer_count());
   out.terms.reserve(plan.term_count());
-  ExplainSink sink{BatchSum(batch), out};
+  ExplainSink sink{BatchSum(batch), network.layers(), out};
   plan.Replay(sink);
   sink.CloseLayer();
   const double total = sink.sum.TotalUs();

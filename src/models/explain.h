@@ -18,6 +18,11 @@
  * re-associates one multiplication; their sums agree with the total to
  * within accumulated rounding (1 ulp per term), never more.
  *
+ * A plan holds numbers only. Its emitter begins exactly one plan layer
+ * per network layer, in order, so explain labels plan layer i with the
+ * name of layer i of the network the plan was compiled from, which the
+ * caller passes in.
+ *
  * AttributeResiduals distributes an observed-minus-predicted residual
  * across kernel clusters in proportion to each cluster's share of the
  * prediction — the serving-time attribution `gpuperf explain` prints
@@ -29,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "dnn/network.h"
 #include "models/prediction_plan.h"
 
 namespace gpuperf::models {
@@ -36,7 +42,7 @@ namespace gpuperf::models {
 /** One plan term's contribution to a prediction. */
 struct TermContribution {
   std::size_t layer = 0;    // owning layer's index in the plan
-  std::string layer_label;  // owning layer's name ("" for unlabeled plans)
+  std::string layer_label;  // owning layer's name in the network
   int cluster_id = -1;      // kernel cluster; -1 = layer-wise fallback
   double raw_us = 0;        // the term's TermUs value
   double scaled_us = 0;     // raw_us * scale_a * scale_b
@@ -66,8 +72,14 @@ struct PredictionBreakdown {
   std::vector<TermContribution> terms;        // plan order
 };
 
-/** Decomposes `plan.EvalUs(batch)` without changing its value. */
+/**
+ * Decomposes `plan.EvalUs(batch)` without changing its value, labelling
+ * layers with the names of `network`, the network `plan` was compiled
+ * from. Precondition (GP_CHECK): `plan.layer_count()` equals
+ * `network.layers().size()`.
+ */
 PredictionBreakdown ExplainPlan(const PredictionPlan& plan,
+                                const dnn::Network& network,
                                 std::int64_t batch);
 
 /** One cluster's slice of an observed-minus-predicted residual. */

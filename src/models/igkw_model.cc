@@ -176,7 +176,7 @@ void IgkwModel::EmitLayer(const Target& target, int sid,
   const std::int64_t per_sample[] = {layer.InputElements(),
                                      dnn::LayerFlops(layer, 1),
                                      layer.output.Elements()};
-  sink.BeginLayer(mean_calibration_, 1.0, layer.name);
+  sink.BeginLayer(mean_calibration_, 1.0);
   for (const InterGpuKernelModel& law : resolved_[sid].laws) {
     const regression::LinearFit fit = FitFromFeatures(law, target.features);
     sink.AddTerm(per_sample[static_cast<int>(law.driver)], fit.slope,
@@ -214,9 +214,10 @@ double IgkwModel::PredictUs(const dnn::Network& network,
 
 PredictionPlan IgkwModel::CompilePlan(const dnn::Network& network,
                                       const gpuexec::GpuSpec& gpu) const {
-  PredictionPlan plan;
-  EmitNetwork(TargetFor(gpu), network, plan);
-  return plan;
+  const Target target = TargetFor(gpu);
+  return PredictionPlan::Compile([&](PredictionPlan& plan) {
+    EmitNetwork(target, network, plan);
+  });
 }
 
 const PredictionPlan* IgkwModel::PlanFor(const dnn::Network& network,

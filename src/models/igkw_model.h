@@ -15,6 +15,11 @@
  * GPUs (case study 1) are supported by construction. The feature choice
  * is parameterized to support the paper's discussion-section ablation
  * (bandwidth vs TFLOPS vs both).
+ *
+ * Like KW, IGKW has one per-layer emitter (EmitLayer) feeding the sinks
+ * of models/prediction_plan.h. Its compiled plans hold numbers only
+ * (the laws are evaluated at compile time) and explain reads layer
+ * names from the network.
  */
 
 #include <cstdint>
@@ -120,8 +125,8 @@ class IgkwModel : public Predictor {
   Target TargetFor(const gpuexec::GpuSpec& gpu) const;
 
   /**
-   * The one per-layer term emitter (see models/prediction_plan.h):
-   * BeginLayer(mean calibration, 1.0, name) plus one AddTerm per kernel
+   * The one per-layer term emitter (see models/prediction_plan.h): one
+   * BeginLayer(mean calibration, 1.0) plus one AddTerm per kernel
    * law evaluated at the target's features. Fallback layers go to
    * kw_.EmitLayer on the nearest training GPU with the bandwidth ratio
    * as its extra scale.
@@ -140,7 +145,10 @@ class IgkwModel : public Predictor {
       const InterGpuKernelModel& law,
       const std::vector<double>& features) const;
 
-  /** Compiles the whole network for one GPU spec (PlanFor misses). */
+  /**
+   * Compiles the whole network for one GPU spec (PlanFor misses)
+   * through PredictionPlan::Compile, like KwModel::CompilePlan.
+   */
   PredictionPlan CompilePlan(const dnn::Network& network,
                              const gpuexec::GpuSpec& gpu) const;
 

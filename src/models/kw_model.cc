@@ -1,11 +1,12 @@
 #include "models/kw_model.h"
 
 #include <algorithm>
+#include <cctype>
 #include <iterator>
+#include <optional>
 #include <string_view>
 
 #include "common/logging.h"
-#include "common/string_util.h"
 #include "dnn/flops.h"
 #include "gpuexec/lowering.h"
 
@@ -59,18 +60,27 @@ const KernelModel* MatchKernel(
 }  // namespace
 
 std::string ReducedSignature(const std::string& signature) {
-  std::vector<std::string> parts = Split(signature, '/');
-  std::vector<std::string> kept;
-  for (const std::string& part : parts) {
+  // One pass over the '/'-separated parts, keeping the non-shape ones
+  // '/'-joined in order (empty parts included).
+  std::string reduced;
+  reduced.reserve(signature.size());
+  bool kept_any = false;
+  for (std::size_t begin = 0;;) {
+    const std::size_t end = std::min(signature.find('/', begin),
+                                     signature.size());
+    const std::string_view part(signature.data() + begin, end - begin);
     // Shape components are "i<CxHxW>" and "o<CxHxW>".
-    if (part.size() > 1 && (part[0] == 'i' || part[0] == 'o') &&
-        part.find('x') != std::string::npos &&
-        std::isdigit(static_cast<unsigned char>(part[1]))) {
-      continue;
+    const bool shape = part.size() > 1 && (part[0] == 'i' || part[0] == 'o') &&
+                       part.find('x') != std::string_view::npos &&
+                       std::isdigit(static_cast<unsigned char>(part[1]));
+    if (!shape) {
+      if (kept_any) reduced += '/';
+      reduced += part;
+      kept_any = true;
     }
-    kept.push_back(part);
+    if (end == signature.size()) return reduced;
+    begin = end + 1;
   }
-  return Join(kept, "/");
 }
 
 KwModel::KwModel(const KwOptions& options) : options_(options) {}
@@ -274,7 +284,6 @@ void KwModel::Train(const dataset::Dataset& data,
 }
 
 void KwModel::FinalizeTables() {
-  gpu_names_.clear();
   gpu_index_.clear();
   calibration_by_gpu_.clear();
   cluster_counts_.clear();
@@ -282,6 +291,7 @@ void KwModel::FinalizeTables() {
   reduced_index_.clear();
   sid_kernel_counts_.clear();
   resolved_.clear();
+  lw_fits_.clear();
   predict_cache_.Clear();
   plan_cache_.Clear();
 
@@ -308,9 +318,15 @@ void KwModel::FinalizeTables() {
   // Per GPU, resolve every signature to concrete fitted lines.
   std::vector<const KernelModel*> by_name(distinct_names.size());
   for (const auto& [gpu, kernels] : per_gpu_) {
-    gpu_index_.emplace(gpu, static_cast<int>(gpu_names_.size()));
-    gpu_names_.push_back(gpu);
+    gpu_index_.emplace(gpu, static_cast<int>(gpu_index_.size()));
     calibration_by_gpu_.push_back(CalibrationFor(gpu));
+    for (int kind = 0; kind < dnn::kLayerKindCount; ++kind) {
+      const regression::LinearFit* fit =
+          lw_fallback_.FitFor(gpu, static_cast<dnn::LayerKind>(kind));
+      lw_fits_.push_back(fit != nullptr
+                             ? std::optional<regression::LinearFit>(*fit)
+                             : std::nullopt);
+    }
     std::vector<int> ids;
     ids.reserve(kernels.size());
     for (const auto& [name, model] : kernels) ids.push_back(model.cluster_id);
@@ -411,10 +427,11 @@ void KwModel::EmitLayer(int gpu_idx, int sid, const dnn::Layer& layer,
   if (sid < 0 || resolved_[gpu_idx][sid].use_lw) {
     // Unknown layer configuration or kernel: one layer-wise FLOPs term,
     // no calibration factor.
-    sink.BeginLayer(1.0, extra_scale, layer.name);
-    const regression::LinearFit* fit =
-        lw_fallback_.FitFor(gpu_names_[gpu_idx], layer.kind);
-    if (fit != nullptr) {
+    sink.BeginLayer(1.0, extra_scale);
+    const std::optional<regression::LinearFit>& fit =
+        lw_fits_[gpu_idx * dnn::kLayerKindCount +
+                 static_cast<int>(layer.kind)];
+    if (fit.has_value()) {
       sink.AddTerm(dnn::LayerFlops(layer, 1), fit->slope, fit->intercept,
                    -1);
     }
@@ -424,7 +441,7 @@ void KwModel::EmitLayer(int gpu_idx, int sid, const dnn::Layer& layer,
   const std::int64_t per_sample[] = {layer.InputElements(),
                                      dnn::LayerFlops(layer, 1),
                                      layer.output.Elements()};
-  sink.BeginLayer(calibration_by_gpu_[gpu_idx], extra_scale, layer.name);
+  sink.BeginLayer(calibration_by_gpu_[gpu_idx], extra_scale);
   for (const ResolvedKernel& kernel : resolved_[gpu_idx][sid].kernels) {
     sink.AddTerm(per_sample[static_cast<int>(kernel.driver)], kernel.slope,
                  kernel.intercept, kernel.cluster_id);
@@ -448,7 +465,7 @@ bool KwModel::AppendKernelTerms(const dnn::Layer& layer,
   struct TermSink {
     std::int64_t batch;
     std::vector<KernelTerm>* out;
-    void BeginLayer(double, double, const std::string&) {}
+    void BeginLayer(double, double) {}
     void AddTerm(std::int64_t value, double slope, double intercept,
                  int cluster_id) {
       out->push_back({cluster_id, static_cast<double>(batch * value),
@@ -505,9 +522,9 @@ double KwModel::PredictUs(const dnn::Network& network,
 
 PredictionPlan KwModel::CompilePlan(const dnn::Network& network,
                                     int gpu_idx) const {
-  PredictionPlan plan;
-  EmitNetwork(gpu_idx, network, plan);
-  return plan;
+  return PredictionPlan::Compile([&](PredictionPlan& plan) {
+    EmitNetwork(gpu_idx, network, plan);
+  });
 }
 
 const PredictionPlan* KwModel::PlanFor(const dnn::Network& network,

@@ -22,11 +22,13 @@
  * prediction path — PredictUs, PredictLayerUs, plan compiles (and so
  * PredictMany and explain) and AppendKernelTerms — is that emitter
  * feeding a sink from models/prediction_plan.h, so the paths agree bit
- * for bit by construction.
+ * for bit by construction. A compiled plan holds numbers only; explain
+ * reads layer names from the network.
  */
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -232,9 +234,10 @@ class KwModel : public Predictor {
 
   /**
    * The one per-layer term emitter (see models/prediction_plan.h): emits
-   * `layer` into `sink` as BeginLayer(calibration, `extra_scale`, name)
+   * `layer` into `sink` as one BeginLayer(calibration, `extra_scale`)
    * plus one AddTerm per kernel. A layer-wise fallback layer (unmapped
-   * signature or an unusable kernel) is one FLOPs term with scale 1.0.
+   * signature or an unusable kernel) is one FLOPs term with scale 1.0,
+   * its fit read from the dense lw_fits_ table.
    * The three per-sample driver values are computed once per layer.
    * `extra_scale` is 1.0 unless IGKW rescales a fallback layer.
    */
@@ -247,7 +250,11 @@ class KwModel : public Predictor {
   void EmitNetwork(int gpu_idx, const dnn::Network& network,
                    Sink& sink) const;
 
-  /** Compiles the whole network for one GPU (PlanFor cache misses). */
+  /**
+   * Compiles the whole network for one GPU (PlanFor cache misses)
+   * through PredictionPlan::Compile: one plan layer per network layer,
+   * each array allocated once at its exact size.
+   */
   PredictionPlan CompilePlan(const dnn::Network& network, int gpu_idx) const;
 
   KwOptions options_;
@@ -261,7 +268,6 @@ class KwModel : public Predictor {
   LwModel lw_fallback_;
 
   // --- Dense tables built by FinalizeTables(); indexed by gpu idx / sid.
-  std::vector<std::string> gpu_names_;
   std::unordered_map<std::string, int> gpu_index_;
   std::vector<double> calibration_by_gpu_;
   std::vector<int> cluster_counts_;
@@ -270,6 +276,10 @@ class KwModel : public Predictor {
   std::unordered_map<std::string, int> reduced_index_;
   std::vector<int> sid_kernel_counts_;  // mapping-table list length
   std::vector<std::vector<ResolvedLayer>> resolved_;  // [gpu][sid]
+  // The layer-wise fallback fits, [gpu * dnn::kLayerKindCount + kind];
+  // empty where lw_fallback_ has no fit. Held by value, so a model copy
+  // needs no pointer fix-up.
+  std::vector<std::optional<regression::LinearFit>> lw_fits_;
   // network name -> per-layer sids, filled lazily on prediction.
   NetworkSidCache predict_cache_;
   // (network, gpu) -> compiled plan, filled lazily by PlanFor.

@@ -41,12 +41,22 @@ std::string SlotKeyString(const PlanCache::SlotKey& slot) {
 
 }  // namespace
 
-void PredictionPlan::BeginLayer(double scale_a, double scale_b,
-                                const std::string& label) {
+PredictionPlan& PredictionPlan::ClearedScratch() {
+  thread_local PredictionPlan scratch;
+  scratch.value_.clear();
+  scratch.slope_.clear();
+  scratch.intercept_.clear();
+  scratch.cluster_.clear();
+  scratch.layer_end_.clear();
+  scratch.scale_a_.clear();
+  scratch.scale_b_.clear();
+  return scratch;
+}
+
+void PredictionPlan::BeginLayer(double scale_a, double scale_b) {
   layer_end_.push_back(static_cast<std::uint32_t>(value_.size()));
   scale_a_.push_back(scale_a);
   scale_b_.push_back(scale_b);
-  label_.push_back(label);
 }
 
 void PredictionPlan::AddTerm(std::int64_t per_sample_value, double slope,

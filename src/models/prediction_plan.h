@@ -9,15 +9,20 @@
  * Both models predict a network as a sum of per-kernel linear terms
  * (paper Sections 5.4-5.5), written down once per model: a private
  * per-layer emitter (`KwModel::EmitLayer`, `IgkwModel::EmitLayer`)
- * calls `sink.BeginLayer(scale_a, scale_b, label)` and then
+ * calls `sink.BeginLayer(scale_a, scale_b)` exactly once per network
+ * layer, in layer order, and then
  * `sink.AddTerm(per_sample_value, slope, intercept, cluster_id)` per
- * kernel. BatchFold, the one fold, turns the calls into predictions for
- * a fixed number of batch lanes: one lane (BatchSum) for PredictUs,
- * PredictLayerUs, EvalUs and models/explain.h, eight for each whole
- * chunk of EvalManyUs. A PredictionPlan records the calls for one
- * (network, GPU) pair and replays them into a fold. Each lane runs the same
- * floating-point operations in the same order as a one-lane fold of its
- * batch, so every path agrees bit for bit by construction.
+ * kernel. So a plan's layer i is the network's layer i, and a plan
+ * holds numbers only: explain (models/explain.h) reads layer names
+ * from the network. BatchFold, the one fold, turns the calls into
+ * predictions for a fixed number of batch lanes: one lane (BatchSum)
+ * for PredictUs, PredictLayerUs, EvalUs and models/explain.h, eight for
+ * each whole chunk of EvalManyUs. A PredictionPlan records the calls
+ * for one (network, GPU) pair — seven flat numeric arrays, each
+ * allocated once at its exact size (see Compile) — and replays them
+ * into a fold. Each lane runs the same floating-point operations in
+ * the same order as a one-lane fold of its batch, so every path agrees
+ * bit for bit by construction.
  *
  * Batch size is a *query* axis, not a plan axis: every cost driver
  * (input NCHW, layer FLOPs, output NCHW) is linear in batch
@@ -85,7 +90,7 @@ inline double TermUs(std::int64_t batch, std::int64_t per_sample_value,
  * adds `subtotal * scale_a * scale_b` to the lane's total. `scale_a` is
  * the KW per-GPU or IGKW mean calibration (1.0 on layer-wise fallback
  * layers), `scale_b` the IGKW nearest-GPU bandwidth ratio (1.0
- * otherwise); a 1.0 never perturbs a result. Labels and cluster ids are
+ * otherwise); a 1.0 never perturbs a result. Cluster ids are
  * explain-only. BeginLayer closes the open layer; closing a closed one
  * adds +0. Every lane runs the operations of a one-lane fold of its
  * batch in the same order, so its total is bit-identical to BatchSum's.
@@ -100,7 +105,7 @@ class BatchFold {
     requires(kLanes == 1)
       : batch_{batch} {}
 
-  void BeginLayer(double scale_a, double scale_b, const std::string&) {
+  void BeginLayer(double scale_a, double scale_b) {
     CloseLayer();
     scale_a_ = scale_a;
     scale_b_ = scale_b;
@@ -154,13 +159,29 @@ using BatchSum = BatchFold<1>;
 
 /**
  * A compiled (network, GPU) prediction program: the emitter's calls,
- * recorded into contiguous per-term arrays in layer order. Immutable
- * after compilation; safe to evaluate from concurrent threads.
+ * recorded into contiguous per-term arrays in layer order, one layer
+ * per network layer. Immutable after compilation; safe to evaluate
+ * from concurrent threads.
  */
 class PredictionPlan {
  public:
+  /**
+   * The plan `emit(sink)` records, each array allocated once at its
+   * exact size. The emitter records into a reused per-thread scratch
+   * plan, whose arrays keep their capacity from one compile to the
+   * next, and the result is a copy of it (a vector copy allocates
+   * exactly size()). So the emitter stays the only code that decides
+   * how many terms a layer has. `emit` must not compile another plan.
+   */
+  template <typename EmitFn>
+  static PredictionPlan Compile(const EmitFn& emit) {
+    PredictionPlan& scratch = ClearedScratch();
+    emit(scratch);
+    return scratch;
+  }
+
   // The sink calls an emitter makes (see BatchSum).
-  void BeginLayer(double scale_a, double scale_b, const std::string& label);
+  void BeginLayer(double scale_a, double scale_b);
   void AddTerm(std::int64_t per_sample_value, double slope, double intercept,
                int cluster_id);
 
@@ -198,7 +219,7 @@ class PredictionPlan {
     std::uint32_t term = 0;
     const std::size_t layers = layer_end_.size();
     for (std::size_t i = 0; i < layers; ++i) {
-      sink.BeginLayer(scale_a_[i], scale_b_[i], label_[i]);
+      sink.BeginLayer(scale_a_[i], scale_b_[i]);
       for (const std::uint32_t end = layer_end_[i]; term < end; ++term) {
         sink.AddTerm(value[term], slope[term], intercept[term], cluster[term]);
       }
@@ -210,6 +231,9 @@ class PredictionPlan {
   double layer_scale_b(std::size_t layer) const { return scale_b_[layer]; }
 
  private:
+  /** This thread's scratch plan, emptied with its capacity kept. */
+  static PredictionPlan& ClearedScratch();
+
   /** One replay of the plan into a kMaxLanes-lane fold. */
   void EvalMaxLanesUs(std::span<const std::int64_t, kMaxLanes> batches,
                       std::span<double, kMaxLanes> out) const;
@@ -223,7 +247,6 @@ class PredictionPlan {
   std::vector<std::uint32_t> layer_end_;
   std::vector<double> scale_a_;
   std::vector<double> scale_b_;
-  std::vector<std::string> label_;  // explain metadata; the fold ignores it
 };
 
 /**

@@ -60,7 +60,8 @@ TEST(ExplainTest, TotalIsBitIdenticalToPredictUsEverywhere) {
       for (std::int64_t batch : kBatches) {
         const PredictionPlan* plan = campaign.kw.PlanFor(network, gpu);
         ASSERT_NE(plan, nullptr);
-        const PredictionBreakdown breakdown = ExplainPlan(*plan, batch);
+        const PredictionBreakdown breakdown =
+            ExplainPlan(*plan, network, batch);
         const double expected = campaign.kw.PredictUs(network, gpu, batch);
         EXPECT_TRUE(BitEqual(breakdown.total_us, expected))
             << network.name() << " on " << gpu.name << " batch " << batch;
@@ -95,7 +96,7 @@ TEST(ExplainTest, KernelTermsAreTheExplainedTermsOfEveryLayer) {
     for (const gpuexec::GpuSpec& gpu : gpuexec::AllGpus()) {
       for (std::int64_t batch : kBatches) {
         const PredictionBreakdown breakdown =
-            ExplainPlan(*kw.PlanFor(*network, gpu), batch);
+            ExplainPlan(*kw.PlanFor(*network, gpu), *network, batch);
         std::size_t next = 0;  // the first explained term of layer i
         for (std::size_t i = 0; i < network->layers().size(); ++i) {
           SCOPED_TRACE(network->name() + " layer " + std::to_string(i) +
@@ -151,7 +152,8 @@ TEST(ExplainTest, ClusterAndTermSumsAgreeWithinRounding) {
   for (const gpuexec::GpuSpec& gpu : gpuexec::AllGpus()) {
     for (std::int64_t batch : kBatches) {
       const PredictionPlan* plan = campaign.kw.PlanFor(network, gpu);
-      const PredictionBreakdown breakdown = ExplainPlan(*plan, batch);
+      const PredictionBreakdown breakdown =
+          ExplainPlan(*plan, network, batch);
       double term_sum = 0.0;
       std::uint64_t cluster_terms = 0;
       double cluster_sum = 0.0;
@@ -177,7 +179,7 @@ TEST(ExplainTest, SharesArePartitionOfUnity) {
   const dnn::Network& network = campaign.networks.front();
   const gpuexec::GpuSpec& gpu = gpuexec::AllGpus().front();
   const PredictionBreakdown breakdown =
-      ExplainPlan(*campaign.kw.PlanFor(network, gpu), 16);
+      ExplainPlan(*campaign.kw.PlanFor(network, gpu), network, 16);
   ASSERT_GT(breakdown.total_us, 0.0);
   double layer_shares = 0.0, cluster_shares = 0.0;
   for (const LayerContribution& layer : breakdown.layers) {
@@ -197,7 +199,7 @@ TEST(ExplainTest, LayerLabelsAndClustersComeFromTheModel) {
   const dnn::Network& network = campaign.networks.front();
   const gpuexec::GpuSpec& gpu = gpuexec::AllGpus().front();
   const PredictionBreakdown breakdown =
-      ExplainPlan(*campaign.kw.PlanFor(network, gpu), 16);
+      ExplainPlan(*campaign.kw.PlanFor(network, gpu), network, 16);
   ASSERT_EQ(breakdown.layers.size(), network.layers().size());
   for (std::size_t i = 0; i < breakdown.layers.size(); ++i) {
     EXPECT_EQ(breakdown.layers[i].index, i);
@@ -219,7 +221,7 @@ TEST(ExplainTest, ResidualAttributionSplitsByShare) {
   const dnn::Network& network = campaign.networks.front();
   const gpuexec::GpuSpec& gpu = gpuexec::AllGpus().front();
   const PredictionBreakdown breakdown =
-      ExplainPlan(*campaign.kw.PlanFor(network, gpu), 16);
+      ExplainPlan(*campaign.kw.PlanFor(network, gpu), network, 16);
   const double observed = breakdown.total_us * 1.10;  // +10% residual
   const std::vector<ResidualAttribution> attribution =
       AttributeResiduals(breakdown, observed);
@@ -232,6 +234,25 @@ TEST(ExplainTest, ResidualAttributionSplitsByShare) {
   }
   EXPECT_NEAR(attributed, observed - breakdown.total_us,
               1e-9 * std::max(1.0, std::abs(observed)));
+}
+
+// Plan layer i is network layer i only for the network the plan was
+// compiled from; explaining it against another is a precondition
+// failure, not a mislabelled breakdown.
+TEST(ExplainDeathTest, PlanOfAnotherNetworkIsAPreconditionFailure) {
+  const FullGpuCampaign& campaign = FullGpuCampaign::Get();
+  const dnn::Network& network = campaign.networks.front();
+  const dnn::Network* other = nullptr;
+  for (const dnn::Network& candidate : campaign.networks) {
+    if (candidate.layers().size() != network.layers().size()) {
+      other = &candidate;
+      break;
+    }
+  }
+  ASSERT_NE(other, nullptr);
+  const PredictionPlan& plan =
+      *campaign.kw.PlanFor(network, gpuexec::AllGpus().front());
+  EXPECT_DEATH(ExplainPlan(plan, *other, 16), "check failed");
 }
 
 TEST(ExplainTest, ZeroTotalYieldsNoAttribution) {

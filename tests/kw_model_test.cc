@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <cctype>
 #include <cstdint>
 #include <iterator>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +16,7 @@
 #include "common/stats.h"
 #include "common/string_util.h"
 #include "dnn/builder.h"
+#include "dnn/layer.h"
 #include "gpuexec/lowering.h"
 #include "gpuexec/profiler.h"
 #include "models/igkw_model.h"
@@ -371,6 +375,46 @@ TEST(ReducedSignatureTest, DropsShapesKeepsParams) {
   EXPECT_EQ(ReducedSignature("CONV/i3x224x224/o64x112x112/k7x7/s2x2/p3x3/g1"),
             "CONV/k7x7/s2x2/p3x3/g1");
   EXPECT_EQ(ReducedSignature("ReLU/i64x56x56/o64x56x56"), "ReLU");
+}
+
+/** The Split/Join ReducedSignature that the one-pass scan replaced. */
+std::string SplitJoinReducedSignature(const std::string& signature) {
+  std::vector<std::string> kept;
+  for (const std::string& part : Split(signature, '/')) {
+    if (part.size() > 1 && (part[0] == 'i' || part[0] == 'o') &&
+        part.find('x') != std::string::npos &&
+        std::isdigit(static_cast<unsigned char>(part[1]))) {
+      continue;
+    }
+    kept.push_back(part);
+  }
+  return Join(kept, "/");
+}
+
+TEST(ReducedSignatureTest, MatchesSplitJoinOnEveryZooSignature) {
+  std::vector<dnn::Network> networks = zoo::ImageClassificationZoo();
+  for (dnn::Network& network : zoo::TransformerZoo()) {
+    networks.push_back(std::move(network));
+  }
+  std::set<std::string> signatures;
+  for (const dnn::Network& network : networks) {
+    for (const dnn::Layer& layer : network.layers()) {
+      signatures.insert(dnn::LayerSignature(layer));
+    }
+  }
+  ASSERT_GT(signatures.size(), 1000u);
+  // Edge cases of the split: empty parts, separators at either end,
+  // one-byte parts and shape-like parts that are not shapes.
+  for (const char* edge :
+       {"", "/", "//", "a/", "/a", "i", "o", "i3", "ix3", "i3x", "/i3x3/",
+        "i3x3", "o1x1//o2x2", "CONV//k3x3", "FC/i/o/x", "e3x3/o3x3/I3x3"}) {
+    signatures.insert(edge);
+  }
+  for (const std::string& signature : signatures) {
+    EXPECT_EQ(ReducedSignature(signature),
+              SplitJoinReducedSignature(signature))
+        << "'" << signature << "'";
+  }
 }
 
 }  // namespace

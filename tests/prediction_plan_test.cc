@@ -1,9 +1,11 @@
 #include "models/prediction_plan.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +19,7 @@
 #include "gpuexec/gpu_spec.h"
 #include "gpuexec/kernel.h"
 #include "models/bundle_registry.h"
+#include "models/explain.h"
 #include "models/igkw_model.h"
 #include "models/kw_model.h"
 #include "models/predictor_stack.h"
@@ -640,6 +643,65 @@ TEST(PredictionPlanTest, ConcurrentPredictManySweepsAreClean) {
           << "sweep " << sweep << " query " << i;
     }
   }
+}
+
+/**
+ * Compiles `large` and then `small` on this thread with a copy of
+ * `trained`, and `small` on a new thread (whose scratch plan was never
+ * used) with another copy; both small plans must have the same layer
+ * and term counts, the same EvalUs bits and the same explained terms
+ * (which read every plan array). `trained` must never have been
+ * queried, so neither copy inherits a compiled plan.
+ */
+template <typename Model>
+void ExpectScratchReuseLeavesNoTrace(
+    const Model& trained, const dnn::Network& large,
+    const dnn::Network& small, const std::vector<gpuexec::GpuSpec>& gpus) {
+  const Model reused = trained;
+  const Model fresh = trained;
+  for (const gpuexec::GpuSpec& gpu : gpus) {
+    const PredictionPlan* big = reused.PlanFor(large, gpu);
+    const PredictionPlan* after_big = reused.PlanFor(small, gpu);
+    const PredictionPlan* first = nullptr;
+    std::thread([&] { first = fresh.PlanFor(small, gpu); }).join();
+    ASSERT_NE(first, nullptr);
+    ASSERT_GT(big->term_count(), first->term_count()) << gpu.name;
+    EXPECT_EQ(after_big->layer_count(), first->layer_count()) << gpu.name;
+    EXPECT_EQ(after_big->term_count(), first->term_count()) << gpu.name;
+    EXPECT_EQ(after_big->layer_count(), small.layers().size()) << gpu.name;
+    for (std::int64_t batch : kBatches) {
+      EXPECT_TRUE(BitEqual(after_big->EvalUs(batch), first->EvalUs(batch)))
+          << small.name() << " on " << gpu.name << " batch " << batch;
+    }
+    const PredictionBreakdown reused_terms = ExplainPlan(*after_big, small, 4);
+    const PredictionBreakdown fresh_terms = ExplainPlan(*first, small, 4);
+    ASSERT_EQ(reused_terms.terms.size(), fresh_terms.terms.size());
+    for (std::size_t t = 0; t < fresh_terms.terms.size(); ++t) {
+      const TermContribution& got = reused_terms.terms[t];
+      const TermContribution& want = fresh_terms.terms[t];
+      EXPECT_EQ(got.layer, want.layer) << gpu.name << " term " << t;
+      EXPECT_EQ(got.cluster_id, want.cluster_id) << gpu.name << " term " << t;
+      EXPECT_TRUE(BitEqual(got.scaled_us, want.scaled_us))
+          << gpu.name << " term " << t;
+    }
+  }
+}
+
+TEST(PredictionPlanTest, ScratchReuseMatchesAFreshCompile) {
+  const FullGpuCampaign& campaign = FullGpuCampaign::Get();
+  const auto by_layers = [](const dnn::Network& a, const dnn::Network& b) {
+    return a.layers().size() < b.layers().size();
+  };
+  const dnn::Network& large = *std::max_element(
+      campaign.networks.begin(), campaign.networks.end(), by_layers);
+  const dnn::Network& small = *std::min_element(
+      campaign.networks.begin(), campaign.networks.end(), by_layers);
+  KwModel kw;
+  kw.Train(campaign.data, campaign.split);
+  ExpectScratchReuseLeavesNoTrace(kw, large, small, gpuexec::AllGpus());
+  IgkwModel igkw;
+  igkw.Train(campaign.data, campaign.split, {"A100", "A40", "TITAN RTX"});
+  ExpectScratchReuseLeavesNoTrace(igkw, large, small, IgkwTargets());
 }
 
 TEST(PredictionPlanTest, RegistryPromotionYieldsFreshPlanCaches) {

@@ -1193,7 +1193,7 @@ int CmdExplain(const Flags& flags) {
 
   const models::PredictionPlan* plan = kw->PlanFor(*net, *gpu);
   const models::PredictionBreakdown breakdown =
-      models::ExplainPlan(*plan, batch);
+      models::ExplainPlan(*plan, *net, batch);
   std::printf("%s @BS%lld on %s: predicted %.3f ms "
               "(%zu layers, %zu terms, %zu clusters)\n\n",
               net->name().c_str(), batch, gpu->name.c_str(),
