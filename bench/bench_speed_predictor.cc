@@ -271,9 +271,10 @@ void BM_LowerResnet50(benchmark::State& state) {
 }
 BENCHMARK(BM_LowerResnet50);
 
-// A fresh Profiler per iteration, as each CLI campaign starts with: a
-// Profiler reused across iterations would answer from its warm
-// expected-time memo.
+// A fresh Profiler per iteration, as each CLI campaign starts with: it
+// lowers cold into an empty lowering table and evaluates the oracle into
+// an empty expected-time memo, where a Profiler reused across iterations
+// would answer both from warm state.
 void BM_ProfileResnet50(benchmark::State& state) {
   const Fixture& fixture = Fixture::Get();
   const gpuexec::HardwareOracle oracle{gpuexec::OracleConfig()};
@@ -285,6 +286,25 @@ void BM_ProfileResnet50(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProfileResnet50)->Unit(benchmark::kMillisecond);
+
+// A fresh Profiler per iteration lowers the fixture zoo (SmallZoo(16))
+// at batch 256 into its empty lowering table: layer signatures, table
+// lookups and the lowering of each distinct configuration. Items are
+// layers, so perf_gate.sh reads ns per layer lowered.
+void BM_ProfilerLowerSmallZoo16(benchmark::State& state) {
+  const Fixture& fixture = Fixture::Get();
+  const gpuexec::HardwareOracle oracle{gpuexec::OracleConfig()};
+  std::int64_t layers = 0;
+  for (auto _ : state) {
+    const gpuexec::Profiler profiler(oracle);
+    for (const dnn::Network& network : fixture.networks) {
+      benchmark::DoNotOptimize(profiler.Lower(network, 256));
+      layers += static_cast<std::int64_t>(network.layers().size());
+    }
+  }
+  state.SetItemsProcessed(layers);
+}
+BENCHMARK(BM_ProfilerLowerSmallZoo16)->Unit(benchmark::kMillisecond);
 
 // Items are kernel rows, so perf_gate.sh reads ns per profiled kernel.
 void BM_BuildDatasetSerial(benchmark::State& state) {

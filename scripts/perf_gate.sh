@@ -21,13 +21,19 @@
 #   BM_KwPredictResnet50Cached  one per-query PredictUs with the sid
 #                               memo warm;
 #   BM_BuildDatasetSerial       one kernel row of a serial BuildDataset
-#                               (41 networks on A100): lowering-cache
-#                               lookups, the oracle's expected-time
-#                               memo, the noisy replay and the merge;
+#                               (41 networks on A100): cold lowering
+#                               into the profiler's table, the oracle's
+#                               expected-time memo, the noisy replay
+#                               and the merge;
 #   BM_BuildDatasetAllGpus      one kernel row of the same serial build
 #                               on all 7 GPUs: each network is lowered
 #                               once and replayed per GPU, which the
 #                               A100-only row cannot see;
+#   BM_ProfilerLowerSmallZoo16  one layer of the same 41 networks
+#                               lowered at batch 256 by a fresh
+#                               Profiler: signatures, lowering-table
+#                               lookups and each distinct
+#                               configuration's lowering;
 #   BM_KwTrain                  one kernel row of a KwModel fit on the
 #                               A100 dataset: mapping table, samples,
 #                               driver classification, clustering, LW

@@ -66,15 +66,15 @@ echo "== tier 2: concurrency tests under ThreadSanitizer =="
 TSAN_BUILD="${BUILD}-tsan"
 cmake -B "$TSAN_BUILD" -S . -DGPUPERF_SANITIZE=thread
 cmake --build "$TSAN_BUILD" -j --target \
-  thread_pool_test parallel_build_test lowering_cache_test \
+  thread_pool_test parallel_build_test \
   bundle_registry_test metrics_registry_test span_tracer_test \
   prediction_plan_test drift_monitor_test refit_test self_healing_test \
   serving_test fault_injection_test profiler_test
 "./$TSAN_BUILD/tests/thread_pool_test"
 "./$TSAN_BUILD/tests/parallel_build_test"
-# One Profiler's expected-time memo shared by concurrent Profile calls.
+# One Profiler's lowering table and expected-time memo shared by
+# concurrent Lower and Profile calls.
 "./$TSAN_BUILD/tests/profiler_test"
-"./$TSAN_BUILD/tests/lowering_cache_test"
 # Generation hot-swap under concurrent predicting readers.
 "./$TSAN_BUILD/tests/bundle_registry_test"
 # Registry hot path under concurrent writers + live snapshots.

@@ -1,7 +1,6 @@
 #include "dataset/builder.h"
 
 #include <cstddef>
-#include <unordered_map>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
@@ -63,8 +62,7 @@ void AppendProfiles(const std::vector<dnn::Network>& networks,
   ThreadPool pool(options.jobs);
   pool.ParallelFor(networks.size(), [&](std::size_t n) {
     if (!has_item[n]) return;
-    lowered[n] = gpuexec::LowerForReplay(networks[n], options.batch,
-                                         options.workload);
+    lowered[n] = profiler.Lower(networks[n], options.batch, options.workload);
     total_flops[n] = dnn::NetworkFlops(networks[n], options.batch);
   });
 
@@ -92,13 +90,12 @@ void AppendProfiles(const std::vector<dnn::Network>& networks,
   // for byte those of a jobs=1 build. GPU names are interned even when
   // every network was skipped, matching the historical serial loop.
   // Launch lists and layer signatures repeat across layers, networks and
-  // GPUs, so each distinct launch list's kernel names and each (network,
-  // layer)'s signature are interned on first use only. That first use is
-  // the row where a per-row walk would have interned them, so the pools
-  // are unchanged; a layer that launches no kernel is never signed.
-  std::unordered_map<const gpuexec::LoweringCache::LaunchList*,
-                     std::vector<int>>
-      kernel_ids;
+  // GPUs, so each distinct launch list's kernel names (by the list's id in
+  // the profiler's lowering table) and each (network, layer)'s signature
+  // are interned on first use only. That first use is the row where a
+  // per-row walk would have interned them, so the pools are unchanged; a
+  // layer that launches no kernel is never signed.
+  std::vector<std::vector<int>> kernel_ids(profiler.LoweredListCount());
   std::vector<std::vector<int>> signature_ids(networks.size());
   std::size_t next = 0;
   for (std::size_t g = 0; g < gpus.size(); ++g) {
@@ -123,14 +120,13 @@ void AppendProfiles(const std::vector<dnn::Network>& networks,
 
       std::size_t index = 0;
       for (std::size_t layer = 0; layer < lowered[n].layers.size(); ++layer) {
-        const gpuexec::LoweringCache::LaunchList& launches =
-            *lowered[n].layers[layer];
+        const gpuexec::LaunchList& launches = *lowered[n].layers[layer];
         if (launches.empty()) continue;
-        auto [ids, fresh] = kernel_ids.try_emplace(&launches);
-        if (fresh) {
-          ids->second.reserve(launches.size());
+        std::vector<int>& ids = kernel_ids[lowered[n].ids[layer]];
+        if (ids.empty()) {
+          ids.reserve(launches.size());
           for (const gpuexec::KernelLaunch& launch : launches) {
-            ids->second.push_back(dataset->kernels().Intern(launch.name));
+            ids.push_back(dataset->kernels().Intern(launch.name));
           }
         }
         int& signature_id = layer_ids[layer];
@@ -143,7 +139,7 @@ void AppendProfiles(const std::vector<dnn::Network>& networks,
           KernelRow row;
           row.gpu_id = gpu_id;
           row.network_id = network_id;
-          row.kernel_id = ids->second[k];
+          row.kernel_id = ids[k];
           row.signature_id = signature_id;
           row.layer_index = static_cast<int>(layer);
           row.layer_kind = launch.layer_kind;

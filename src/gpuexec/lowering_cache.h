@@ -1,79 +1,30 @@
 #ifndef GPUPERF_GPUEXEC_LOWERING_CACHE_H_
 #define GPUPERF_GPUEXEC_LOWERING_CACHE_H_
 
-/**
- * @file
- * Memoized layer lowering.
- *
- * Lowering a layer is deterministic but not free (algorithm selection,
- * kernel-name formatting, feature attachment), and a measurement campaign
- * lowers the same layer configurations thousands of times — zoo families
- * repeat blocks within a network and share blocks across member networks.
- * The cache keys on (layer signature, weight count, batch, workload): the
- * signature is the same key the KW mapping table uses as the canonical
- * layer-configuration identity, and the weight count additionally
- * separates configurations whose parameter block is not fully encoded in
- * the signature (e.g. bias flags, embedding vocabulary) so the optimizer
- * kernels of a training-step lowering never alias.
- *
- * Lookups take a shared lock and insertions an exclusive one, so a
- * ThreadPool campaign can profile concurrently against one shared cache.
- * Entries are immutable once inserted (values are shared_ptr-to-const);
- * invalidation is only ever whole-cache Clear(), needed solely when the
- * lowering rules themselves change (there is no other input to
- * invalidate on — GPU specs and oracle noise do not affect lowering).
- */
+// Deprecated: a process-wide Profiler kept only for perfbench's campaign
+// probes. Library code lowers through a Profiler it owns; the benchmark
+// change that moves perfbench onto Profiler::Lower deletes this file.
 
-#include <cstdint>
-#include <memory>
-#include <string>
-#include <unordered_map>
-#include <vector>
-
-#include "common/synchronization.h"
-#include "dnn/layer.h"
-#include "dnn/network.h"
-#include "gpuexec/kernel.h"
-#include "gpuexec/training.h"
+#include "gpuexec/profiler.h"
 
 namespace gpuperf::gpuexec {
 
-/** Thread-safe memo of per-layer kernel launch lists. */
-class LoweringCache {
- public:
-  using LaunchList = std::vector<KernelLaunch>;
+/** One process-wide Profiler whose lowering table Clear() empties. */
+struct LoweringCache {
+  static LoweringCache& Global() {
+    static LoweringCache* const kCache = new LoweringCache();
+    return *kCache;
+  }
+  void Clear() { profiler = Profiler(HardwareOracle()); }
 
-  /**
-   * The launch list of `layer` at `batch` under `workload` (forward
-   * kernels, plus backward/optimizer kernels for kTraining), computed on
-   * first use and shared afterwards.
-   */
-  std::shared_ptr<const LaunchList> Lower(const dnn::Layer& layer,
-                                          std::int64_t batch,
-                                          Workload workload);
-
-  /** Number of distinct (layer, batch, workload) entries. */
-  std::size_t size() const;
-
-  /** Drops every entry (only needed if lowering rules change). */
-  void Clear();
-
-  /** The process-wide cache the Profiler uses by default. */
-  static LoweringCache& Global();
-
- private:
-  mutable SharedMutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<const LaunchList>> cache_
-      GP_GUARDED_BY(mu_);
+  Profiler profiler{HardwareOracle()};
 };
 
-/**
- * LowerNetworkWorkload through `cache` (Global() if null); entry i holds
- * layer i's launch list, aliasing cache entries instead of copying them.
- */
-std::vector<std::shared_ptr<const LoweringCache::LaunchList>>
-CachedLowerNetworkWorkload(const dnn::Network& network, std::int64_t batch,
-                           Workload workload, LoweringCache* cache = nullptr);
+inline LoweredNetwork CachedLowerNetworkWorkload(const dnn::Network& network,
+                                                 std::int64_t batch,
+                                                 Workload workload) {
+  return LoweringCache::Global().profiler.Lower(network, batch, workload);
+}
 
 }  // namespace gpuperf::gpuexec
 

@@ -1,6 +1,7 @@
 #include "gpuexec/profiler.h"
 
 #include <algorithm>
+#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -8,10 +9,11 @@
 
 #include "common/logging.h"
 #include "common/random.h"
+#include "common/string_util.h"
 #include "common/synchronization.h"
 #include "dnn/flops.h"
 #include "gpuexec/lowering.h"
-#include "gpuexec/lowering_cache.h"
+#include "obs/metrics_registry.h"
 
 namespace gpuperf::gpuexec {
 namespace {
@@ -42,7 +44,71 @@ double WallFactor(const HardwareOracle& oracle, const std::string& network,
                         oracle.config().wall_overhead_sigma);
 }
 
-using LaunchListPtr = std::shared_ptr<const LoweringCache::LaunchList>;
+/**
+ * A Profiler's lowering table: every distinct launch list, numbered
+ * densely in first-lookup order. Entries are immutable once inserted and
+ * live (at stable addresses) as long as the table.
+ */
+class LoweringTable {
+ public:
+  struct Entry {
+    LaunchList launches;
+    int forward_count = 0;  // leading forward launches (all, for inference)
+  };
+
+  /** The id and entry of `layer`'s launch list at (batch, workload). */
+  std::pair<std::uint32_t, const Entry*> Intern(const dnn::Layer& layer,
+                                                std::int64_t batch,
+                                                Workload workload) {
+    // The weight count separates configurations whose parameter block
+    // the signature does not fully encode (bias flags, embedding
+    // vocabulary), so training lists' optimizer kernels never alias.
+    const std::string key =
+        dnn::LayerSignature(layer) +
+        Format("|w%ld|b%ld|%d",
+               static_cast<long>(dnn::LayerWeightCount(layer)),
+               static_cast<long>(batch), static_cast<int>(workload));
+    // Process-wide registry counters: one hit or miss per lookup.
+    static obs::Counter& hits =
+        obs::MetricsRegistry::Global().counter("gpuperf_lowering_cache_hits");
+    static obs::Counter& misses = obs::MetricsRegistry::Global().counter(
+        "gpuperf_lowering_cache_misses");
+    {
+      SharedReaderLock lock(mu_);
+      auto it = ids_.find(key);
+      if (it != ids_.end()) {
+        hits.Increment();
+        return {it->second, &entries_[it->second]};
+      }
+    }
+    misses.Increment();
+    Entry entry{LowerLayer(layer, batch), 0};
+    entry.forward_count = static_cast<int>(entry.launches.size());
+    if (workload == Workload::kTraining) {
+      std::vector<KernelLaunch> backward = LowerLayerBackward(layer, batch);
+      entry.launches.insert(entry.launches.end(),
+                            std::make_move_iterator(backward.begin()),
+                            std::make_move_iterator(backward.end()));
+    }
+    SharedMutexLock lock(mu_);
+    // Another thread may have inserted meanwhile; keep the first entry so
+    // every caller sees one id per list.
+    const auto [it, inserted] = ids_.try_emplace(
+        key, static_cast<std::uint32_t>(entries_.size()));
+    if (inserted) entries_.push_back(std::move(entry));
+    return {it->second, &entries_[it->second]};
+  }
+
+  std::size_t size() const {
+    SharedReaderLock lock(mu_);
+    return entries_.size();
+  }
+
+ private:
+  mutable SharedMutex mu_;
+  std::unordered_map<std::string, std::uint32_t> ids_ GP_GUARDED_BY(mu_);
+  std::deque<Entry> entries_ GP_GUARDED_BY(mu_);  // indexed by id
+};
 
 /**
  * The expected kernel times of one exact GpuSpec: the oracle's per-family
@@ -62,44 +128,47 @@ class GpuTimes {
 
   const GpuSpec& gpu() const { return gpu_; }
 
-  /** The expected time of every launch of `lowered`, in order. */
+  /** The expected time of every launch of `lowered`, in flat order. */
   std::vector<double> ExpectedTimes(const HardwareOracle& oracle,
-                                    const std::vector<LaunchListPtr>& lowered) {
-    std::vector<const std::vector<double>*> times(lowered.size());
+                                    const LoweredNetwork& lowered) {
+    std::vector<const std::vector<double>*> times(lowered.ids.size());
     std::vector<std::size_t> missing;
     {
       SharedReaderLock lock(mu_);
-      for (std::size_t i = 0; i < lowered.size(); ++i) {
-        auto it = lists_.find(lowered[i].get());
-        if (it == lists_.end()) {
-          missing.push_back(i);
+      for (std::size_t i = 0; i < lowered.ids.size(); ++i) {
+        const std::uint32_t id = lowered.ids[i];
+        if (id < lists_.size() && lists_[id] != nullptr) {
+          times[i] = lists_[id].get();
         } else {
-          times[i] = &it->second.times_us;
+          missing.push_back(i);
         }
       }
     }
     if (!missing.empty()) {
       // Evaluate misses outside the lock, then insert keeping the first
-      // entry, as LoweringCache::Lower does; every thread computes the
+      // entry, as the lowering table does; every thread computes the
       // same values, so which one wins does not matter.
-      std::vector<Entry> computed;
-      computed.reserve(missing.size());
-      for (std::size_t i : missing) {
-        Entry entry{lowered[i], {}};
-        entry.times_us.reserve(lowered[i]->size());
-        for (const KernelLaunch& launch : *lowered[i]) {
+      std::vector<std::vector<double>> computed(missing.size());
+      for (std::size_t k = 0; k < missing.size(); ++k) {
+        const LaunchList& launches = *lowered.layers[missing[k]];
+        computed[k].reserve(launches.size());
+        for (const KernelLaunch& launch : launches) {
           const int f = static_cast<int>(launch.family);
-          entry.times_us.push_back(oracle.ExpectedKernelTimeUs(
+          computed[k].push_back(oracle.ExpectedKernelTimeUs(
               launch, gpu_,
               {compute_arch_[f], memory_arch_[f], Quirk(oracle, launch.name)}));
         }
-        computed.push_back(std::move(entry));
       }
       SharedMutexLock lock(mu_);
       for (std::size_t k = 0; k < missing.size(); ++k) {
         const std::size_t i = missing[k];
-        times[i] = &lists_.try_emplace(lowered[i].get(), std::move(computed[k]))
-                        .first->second.times_us;
+        const std::uint32_t id = lowered.ids[i];
+        if (lists_.size() <= id) lists_.resize(id + 1);
+        if (lists_[id] == nullptr) {
+          lists_[id] = std::make_unique<const std::vector<double>>(
+              std::move(computed[k]));
+        }
+        times[i] = lists_[id].get();
       }
     }
     std::vector<double> expected;
@@ -110,12 +179,6 @@ class GpuTimes {
   }
 
  private:
-  /** A launch list's expected times; `launches` pins the key's address. */
-  struct Entry {
-    LaunchListPtr launches;
-    std::vector<double> times_us;
-  };
-
   double Quirk(const HardwareOracle& oracle, const std::string& kernel_name) {
     {
       SharedReaderLock lock(mu_);
@@ -131,7 +194,8 @@ class GpuTimes {
   double compute_arch_[kKernelFamilyCount] = {};
   double memory_arch_[kKernelFamilyCount] = {};
   SharedMutex mu_;
-  std::unordered_map<const LoweringCache::LaunchList*, Entry> lists_
+  // Indexed by launch-list id; null until that list is first replayed.
+  std::vector<std::unique_ptr<const std::vector<double>>> lists_
       GP_GUARDED_BY(mu_);
   std::unordered_map<std::string, double> quirks_ GP_GUARDED_BY(mu_);
 };
@@ -139,19 +203,21 @@ class GpuTimes {
 }  // namespace
 
 /**
- * A Profiler's expected-time memo: one GpuTimes per distinct GpuSpec.
- * The whole spec is the key, since a WithBandwidth spec keeps its name.
- * Keying lists on their address is safe because every entry holds the
- * list it was computed from, so the address cannot be reused for another
- * list — even after LoweringCache::Clear() — while the memo lives.
+ * A Profiler's shared state: the lowering table and one GpuTimes per
+ * distinct GpuSpec. The whole spec is the key, since a WithBandwidth
+ * spec keeps its name.
  */
-class Profiler::ExpectedTimeMemo {
+class Profiler::Memo {
  public:
-  explicit ExpectedTimeMemo(const HardwareOracle& oracle) : oracle_(oracle) {}
+  explicit Memo(const HardwareOracle& oracle) : oracle_(oracle) {}
+
+  LoweringTable& table() { return table_; }
 
   /** Expected times of every launch of `lowered` on `gpu`, in order. */
   std::vector<double> ExpectedTimes(const GpuSpec& gpu,
-                                    const std::vector<LaunchListPtr>& lowered) {
+                                    const LoweredNetwork& lowered) {
+    GP_CHECK(lowered.table == &table_)
+        << "replaying a LoweredNetwork another Profiler lowered";
     return ForGpu(gpu).ExpectedTimes(oracle_, lowered);
   }
 
@@ -173,6 +239,7 @@ class Profiler::ExpectedTimeMemo {
   }
 
   const HardwareOracle oracle_;
+  LoweringTable table_;
   SharedMutex mu_;
   std::vector<std::unique_ptr<GpuTimes>> gpus_ GP_GUARDED_BY(mu_);
 };
@@ -190,36 +257,34 @@ std::vector<double> NetworkProfile::LayerTimesUs(
 Profiler::Profiler(const HardwareOracle& oracle, int measured_batches)
     : oracle_(oracle),
       measured_batches_(measured_batches),
-      memo_(std::make_shared<ExpectedTimeMemo>(oracle)) {
+      memo_(std::make_shared<Memo>(oracle)) {
   GP_CHECK_GT(measured_batches, 0);
 }
 
-LoweredNetwork LowerForReplay(const dnn::Network& network, std::int64_t batch,
-                              Workload workload) {
-  // Lowering is memoized process-wide: zoo networks repeat layer
-  // configurations heavily, and a parallel campaign profiles from many
-  // threads against the same shared cache.
+LoweredNetwork Profiler::Lower(const dnn::Network& network,
+                               std::int64_t batch, Workload workload) const {
+  LoweringTable& table = memo_->table();
   LoweredNetwork lowered;
   lowered.batch = batch;
-  lowered.layers = CachedLowerNetworkWorkload(network, batch, workload);
+  lowered.table = &table;
+  lowered.ids.reserve(network.layers().size());
+  lowered.layers.reserve(network.layers().size());
+  // Per layer: (forward count, total count) and the first flat index,
+  // for a training timeline.
+  std::vector<std::pair<int, int>> counts;
+  std::vector<std::size_t> flat_base;
   std::size_t launches = 0;
-  for (const LaunchListPtr& list : lowered.layers) launches += list->size();
+  for (const dnn::Layer& layer : network.layers()) {
+    const auto [id, entry] = table.Intern(layer, batch, workload);
+    lowered.ids.push_back(id);
+    lowered.layers.push_back(&entry->launches);
+    counts.emplace_back(entry->forward_count,
+                        static_cast<int>(entry->launches.size()));
+    flat_base.push_back(launches);
+    launches += entry->launches.size();
+  }
   lowered.timeline.reserve(launches);
   if (workload == Workload::kTraining) {
-    // Forward counts come from the cached inference lowering, so the
-    // order is derived without re-lowering any layer.
-    std::vector<std::pair<int, int>> counts(lowered.layers.size());
-    std::vector<std::size_t> flat_base(lowered.layers.size());
-    std::size_t base = 0;
-    for (std::size_t i = 0; i < lowered.layers.size(); ++i) {
-      counts[i].first = static_cast<int>(
-          LoweringCache::Global()
-              .Lower(network.layers()[i], batch, Workload::kInference)
-              ->size());
-      counts[i].second = static_cast<int>(lowered.layers[i]->size());
-      flat_base[i] = base;
-      base += lowered.layers[i]->size();
-    }
     for (const auto& [layer, k] : TrainingExecutionOrderFromCounts(counts)) {
       lowered.timeline.push_back(flat_base[layer] + k);
     }
@@ -229,6 +294,10 @@ LoweredNetwork LowerForReplay(const dnn::Network& network, std::int64_t batch,
   return lowered;
 }
 
+std::size_t Profiler::LoweredListCount() const {
+  return memo_->table().size();
+}
+
 Replay Profiler::ReplayLowered(const dnn::Network& network,
                                const LoweredNetwork& lowered,
                                const GpuSpec& gpu, bool with_timeline) const {
@@ -236,8 +305,7 @@ Replay Profiler::ReplayLowered(const dnn::Network& network,
   // GPU (the memo); replay with noise in true execution order, averaging
   // into per-kernel slots kept grouped per layer (the mapping table
   // relies on it).
-  const std::vector<double> expected =
-      memo_->ExpectedTimes(gpu, lowered.layers);
+  const std::vector<double> expected = memo_->ExpectedTimes(gpu, lowered);
   Replay replay;
   replay.times_us.assign(expected.size(), 0.0);
   if (with_timeline) {
@@ -277,7 +345,7 @@ Replay Profiler::ReplayLowered(const dnn::Network& network,
 NetworkProfile Profiler::Profile(const dnn::Network& network,
                                  const GpuSpec& gpu, std::int64_t batch,
                                  Workload workload) const {
-  const LoweredNetwork lowered = LowerForReplay(network, batch, workload);
+  const LoweredNetwork lowered = Lower(network, batch, workload);
   const Replay replay =
       ReplayLowered(network, lowered, gpu, /*with_timeline=*/true);
 
@@ -315,7 +383,7 @@ NetworkProfile Profiler::Profile(const dnn::Network& network,
 
 double Profiler::MeasureE2eUs(const dnn::Network& network, const GpuSpec& gpu,
                               std::int64_t batch, Workload workload) const {
-  return ReplayLowered(network, LowerForReplay(network, batch, workload), gpu)
+  return ReplayLowered(network, Lower(network, batch, workload), gpu)
       .e2e_time_us;
 }
 

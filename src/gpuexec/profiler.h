@@ -22,7 +22,6 @@
 #include "dnn/network.h"
 #include "gpuexec/gpu_spec.h"
 #include "gpuexec/kernel.h"
-#include "gpuexec/lowering_cache.h"
 #include "gpuexec/oracle.h"
 #include "gpuexec/training.h"
 
@@ -60,27 +59,29 @@ struct NetworkProfile {
   std::vector<double> LayerTimesUs(std::size_t layer_count) const;
 };
 
+/** One layer's kernel launches at one (batch, workload). */
+using LaunchList = std::vector<KernelLaunch>;
+
 /**
- * One network lowered for one (batch, workload), ready to replay on any
- * GPU: lowering does not depend on the GPU, so a campaign lowers each
- * network once and replays it on every device.
+ * One network lowered by Profiler::Lower for one (batch, workload), ready
+ * to replay on any GPU: lowering does not depend on the GPU, so a
+ * campaign lowers each network once and replays it on every device.
  */
 struct LoweredNetwork {
   std::int64_t batch = 0;
-  // Entry i holds layer i's launch list, aliasing LoweringCache entries.
-  std::vector<std::shared_ptr<const LoweringCache::LaunchList>> layers;
+  // Entry i is layer i's launch-list id in the lowering Profiler's
+  // table; repeated layer configurations share an id.
+  std::vector<std::uint32_t> ids;
+  // Entry i views layer i's launch list in that table, valid while the
+  // Profiler or a copy of it lives.
+  std::vector<const LaunchList*> layers;
   // Flat launch indices (layer-major, as in `layers`) in execution
   // order: forward, then, for training steps, backward in reverse layer
   // order.
   std::vector<std::size_t> timeline;
+  // The table the ids number; ReplayLowered checks it is its own.
+  const void* table = nullptr;
 };
-
-/**
- * Lowers `network` through LoweringCache::Global(); the forward counts a
- * training timeline needs come from the cached inference lowering.
- */
-LoweredNetwork LowerForReplay(const dnn::Network& network, std::int64_t batch,
-                              Workload workload = Workload::kInference);
 
 /** The measured outcome of replaying a LoweredNetwork on one GPU. */
 struct Replay {
@@ -94,12 +95,15 @@ struct Replay {
 /**
  * Profiles networks against a HardwareOracle.
  *
- * Besides its configuration, a Profiler owns a memo of the oracle's
- * noise-free expected kernel times per (cached launch list, GpuSpec), so
- * a campaign pays the oracle formula once per distinct launch rather than
- * once per occurrence. Copies share the memo, it is freed with the last
- * copy, and it is thread-safe: one Profiler may serve a whole parallel
- * campaign. Profiles are bit-identical to an unmemoized evaluation.
+ * Besides its configuration, a Profiler owns a lowering table and a memo
+ * of the oracle's noise-free expected kernel times. The table interns
+ * each distinct launch list under a dense id, so a campaign lowers each
+ * layer configuration once; the memo keeps each list's expected times per
+ * GpuSpec by that id, so the oracle formula is paid once per distinct
+ * launch rather than once per occurrence. Copies share both, they are
+ * freed with the last copy, and they are thread-safe: one Profiler may
+ * serve a whole parallel campaign. Profiles are bit-identical to an
+ * unmemoized evaluation.
  */
 class Profiler {
  public:
@@ -116,21 +120,33 @@ class Profiler {
                       Workload workload = Workload::kInference) const;
 
   /**
-   * Runs `lowered` (a LowerForReplay of `network`) on `gpu` with the
-   * measurement protocol. Profile() and MeasureE2eUs() are this replay
-   * plus lowering; the first measured batch's start/end times are
-   * recorded only when `with_timeline` is set.
+   * Lowers `network` at `batch` under `workload` through the lowering
+   * table: each layer's launch list (forward kernels, plus backward and
+   * optimizer kernels for kTraining) is looked up, or lowered and
+   * numbered on first use, and the execution order is fixed.
+   */
+  LoweredNetwork Lower(const dnn::Network& network, std::int64_t batch,
+                       Workload workload = Workload::kInference) const;
+
+  /** Number of distinct launch lists in the (shared) lowering table. */
+  std::size_t LoweredListCount() const;
+
+  /**
+   * Runs `lowered` (this Profiler's, or a copy's, Lower of `network`) on
+   * `gpu` with the measurement protocol. Profile() and MeasureE2eUs() are
+   * this replay plus lowering; the first measured batch's start/end times
+   * are recorded only when `with_timeline` is set.
    */
   Replay ReplayLowered(const dnn::Network& network,
                        const LoweredNetwork& lowered, const GpuSpec& gpu,
                        bool with_timeline = false) const;
 
  private:
-  class ExpectedTimeMemo;
+  class Memo;
 
   HardwareOracle oracle_;
   int measured_batches_;
-  std::shared_ptr<ExpectedTimeMemo> memo_;  // shared by copies
+  std::shared_ptr<Memo> memo_;  // lowering table + times, shared by copies
 };
 
 /** Achieved-vs-theoretical efficiency estimated from layer shapes (Fig 9). */

@@ -58,8 +58,8 @@ std::vector<std::pair<int, int>> TrainingExecutionOrder(
 
 /**
  * The same order computed from per-layer (forward count, total count)
- * pairs, for callers that hold cached launch lists instead of owned
- * vectors (LoweringCache keeps both counts without re-lowering).
+ * pairs, for callers that hold interned launch lists instead of owned
+ * vectors (the Profiler's lowering table stores both counts).
  */
 std::vector<std::pair<int, int>> TrainingExecutionOrderFromCounts(
     const std::vector<std::pair<int, int>>& counts);

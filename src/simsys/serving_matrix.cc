@@ -3,7 +3,28 @@
 #include <cmath>
 #include <span>
 
+#include "gpuexec/oracle.h"
+#include "gpuexec/profiler.h"
+
 namespace gpuperf::simsys {
+
+std::vector<std::vector<double>> TruthMatrix(
+    const std::vector<dnn::Network>& networks,
+    const std::vector<const gpuexec::GpuSpec*>& gpus, std::int64_t batch) {
+  const gpuexec::HardwareOracle oracle;
+  const gpuexec::Profiler profiler(oracle);
+  std::vector<std::vector<double>> truth;
+  truth.reserve(networks.size());
+  for (const dnn::Network& network : networks) {
+    const gpuexec::LoweredNetwork lowered = profiler.Lower(network, batch);
+    std::vector<double>& row = truth.emplace_back();
+    row.reserve(gpus.size());
+    for (const gpuexec::GpuSpec* gpu : gpus) {
+      row.push_back(profiler.ReplayLowered(network, lowered, *gpu).e2e_time_us);
+    }
+  }
+  return truth;
+}
 
 void FillPredictedServingMatrix(
     const models::KwModel& kw, const std::vector<dnn::Network>& networks,

@@ -3,13 +3,15 @@
 
 /**
  * @file
- * Batched fill of the serving simulator's predicted-service matrix.
+ * The serving simulator's service-time matrices.
  *
- * SimulateServing consumes a `[job_type][gpu]` matrix of model-predicted
- * service times — the input to predicted-least-load dispatch and
- * predicted-SLO shedding. Filling it is the predictor's serving hot
- * path: every refresh (bundle promotion, pool change, batch change) is
- * |jobs| x |gpus| predictions. This helper packs the covered cells into
+ * SimulateServing consumes `[job_type][gpu]` matrices of true and of
+ * model-predicted service times. The truth comes from the hardware
+ * oracle (TruthMatrix). The predicted matrix is the input to
+ * predicted-least-load dispatch and predicted-SLO shedding. Filling it
+ * is the predictor's serving hot path: every refresh (bundle promotion,
+ * pool change, batch change) is |jobs| x |gpus| predictions.
+ * FillPredictedServingMatrix packs the covered cells into
  * one PredictQuery span, answers them with a single zero-allocation
  * KwModel::PredictMany sweep over compiled plans, and scatters the
  * results back; uncovered cells get the NaN sentinel that makes the
@@ -29,6 +31,15 @@
 #include "models/kw_model.h"
 
 namespace gpuperf::simsys {
+
+/**
+ * The oracle's e2e time of every (network, GPU) cell at `batch`, as a
+ * `networks.size() x gpus.size()` matrix: what Profiler::MeasureE2eUs
+ * reports, with each network lowered once for all GPUs.
+ */
+std::vector<std::vector<double>> TruthMatrix(
+    const std::vector<dnn::Network>& networks,
+    const std::vector<const gpuexec::GpuSpec*>& gpus, std::int64_t batch);
 
 /** Reusable scratch for FillPredictedServingMatrix. */
 struct ServingMatrixBuffer {

@@ -106,7 +106,7 @@ TEST(LayerSignatureTest, DistinguishesConfigurations) {
 }
 
 // The exact bytes of every LayerSignature branch. Signatures are the
-// mapping-table keys of saved bundles (and the lowering-cache and
+// mapping-table keys of saved bundles (and the lowering-table and
 // dataset keys), so bundles written by earlier builds load only while
 // these strings stay byte-for-byte the same.
 

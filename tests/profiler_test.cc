@@ -4,15 +4,19 @@
 
 #include <bit>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "dataset/builder.h"
 #include "dnn/flops.h"
+#include "dnn/memory.h"
 #include "gpuexec/lowering.h"
-#include "gpuexec/lowering_cache.h"
+#include "gpuexec/training.h"
+#include "obs/metrics_registry.h"
 #include "zoo/zoo.h"
 
 namespace gpuperf::gpuexec {
@@ -301,9 +305,6 @@ TEST_F(ProfilerTest, SharedProfilerMatchesFreshProfilers) {
           profiler.Profile(*item.network, item.gpu, 64, item.workload),
           FreshProfile(oracle, item));
     }
-    // New launch lists for the same layers; the memo must not confuse
-    // them with the (pinned) lists of the first pass.
-    LoweringCache::Global().Clear();
   }
 }
 
@@ -326,13 +327,180 @@ TEST_F(ProfilerTest, ConcurrentSharedProfilerMatchesFreshProfilers) {
     for (std::size_t i = 0; i < items.size(); ++i) {
       ExpectSameProfile(got[i], expected[i]);
     }
-    LoweringCache::Global().Clear();
   }
+}
+
+// The lowering table, checked through Profiler::Lower.
+class ProfilerLowerTest : public ::testing::Test {
+ protected:
+  HardwareOracle oracle_;
+  Profiler profiler_{oracle_};
+};
+
+void ExpectLaunchesEqual(const std::vector<KernelLaunch>& a,
+                         const std::vector<KernelLaunch>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].name, b[i].name);
+    EXPECT_EQ(a[i].family, b[i].family);
+    EXPECT_EQ(a[i].driver, b[i].driver);
+    EXPECT_EQ(a[i].flops, b[i].flops);
+    EXPECT_EQ(a[i].bytes_in, b[i].bytes_in);
+    EXPECT_EQ(a[i].bytes_out, b[i].bytes_out);
+    EXPECT_EQ(a[i].blocks, b[i].blocks);
+    EXPECT_EQ(a[i].layer_flops, b[i].layer_flops);
+    EXPECT_EQ(a[i].input_elems, b[i].input_elems);
+    EXPECT_EQ(a[i].output_elems, b[i].output_elems);
+  }
+}
+
+TEST_F(ProfilerLowerTest, MatchesUncachedLowering) {
+  const dnn::Network net = zoo::BuildByName("resnet18");
+  const LoweredNetwork lowered = profiler_.Lower(net, 64);
+  ASSERT_EQ(lowered.layers.size(), net.layers().size());
+  for (std::size_t i = 0; i < net.layers().size(); ++i) {
+    ExpectLaunchesEqual(*lowered.layers[i], LowerLayer(net.layers()[i], 64));
+  }
+}
+
+TEST_F(ProfilerLowerTest, TrainingEntriesAppendBackwardKernels) {
+  const dnn::Network net = zoo::BuildByName("alexnet");
+  const LoweredNetwork lowered =
+      profiler_.Lower(net, 32, Workload::kTraining);
+  for (std::size_t i = 0; i < net.layers().size(); ++i) {
+    std::vector<KernelLaunch> expected = LowerLayer(net.layers()[i], 32);
+    const std::vector<KernelLaunch> backward =
+        LowerLayerBackward(net.layers()[i], 32);
+    expected.insert(expected.end(), backward.begin(), backward.end());
+    ExpectLaunchesEqual(*lowered.layers[i], expected);
+  }
+}
+
+TEST_F(ProfilerLowerTest, RepeatedLayersShareOneId) {
+  const dnn::Network net = zoo::BuildByName("resnet18");
+  const LoweredNetwork first = profiler_.Lower(net, 64);
+  const std::size_t count = profiler_.LoweredListCount();
+  std::set<std::uint32_t> distinct(first.ids.begin(), first.ids.end());
+  EXPECT_EQ(count, distinct.size());
+  EXPECT_LT(count, net.layers().size());  // resnet repeats its blocks
+  for (std::size_t i = 0; i < first.ids.size(); ++i) {
+    EXPECT_LT(first.ids[i], count);  // dense
+    for (std::size_t j = 0; j < i; ++j) {
+      if (first.ids[i] == first.ids[j]) {
+        EXPECT_EQ(first.layers[i], first.layers[j]);  // aliased, not copied
+      }
+    }
+  }
+  const LoweredNetwork second = profiler_.Lower(net, 64);
+  EXPECT_EQ(second.ids, first.ids);
+  EXPECT_EQ(second.layers, first.layers);
+  EXPECT_EQ(profiler_.LoweredListCount(), count);
+}
+
+TEST_F(ProfilerLowerTest, DistinctBatchesAndWorkloadsAreDistinctIds) {
+  const dnn::Network net = zoo::BuildByName("alexnet");
+  const std::uint32_t a = profiler_.Lower(net, 32).ids[0];
+  const std::uint32_t b = profiler_.Lower(net, 64).ids[0];
+  const std::uint32_t c = profiler_.Lower(net, 32, Workload::kTraining).ids[0];
+  EXPECT_NE(a, b);
+  EXPECT_NE(a, c);
+  EXPECT_NE(b, c);
+}
+
+TEST_F(ProfilerLowerTest, NetworkLoweringMatchesWorkloadLowering) {
+  const dnn::Network net = zoo::BuildByName("vgg11");
+  const auto expected = LowerNetworkWorkload(net, 16, Workload::kTraining);
+  const LoweredNetwork lowered =
+      profiler_.Lower(net, 16, Workload::kTraining);
+  ASSERT_EQ(lowered.layers.size(), expected.size());
+  std::vector<std::size_t> flat_base;
+  std::size_t base = 0;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ExpectLaunchesEqual(*lowered.layers[i], expected[i]);
+    flat_base.push_back(base);
+    base += expected[i].size();
+  }
+  // The timeline is the training step's order over the flat launches.
+  std::vector<std::size_t> order;
+  for (const auto& [layer, k] : TrainingExecutionOrder(net, expected)) {
+    order.push_back(flat_base[layer] + k);
+  }
+  EXPECT_EQ(lowered.timeline, order);
+}
+
+TEST_F(ProfilerLowerTest, ConcurrentLookupsAgree) {
+  const dnn::Network net = zoo::BuildByName("resnet18");
+  const auto expected = LowerNetworkWorkload(net, 8, Workload::kInference);
+  std::vector<std::vector<std::uint32_t>> ids(32);
+  ThreadPool pool(4);
+  pool.ParallelFor(ids.size(), [&](std::size_t i) {
+    const LoweredNetwork lowered = profiler_.Lower(net, 8);
+    ASSERT_EQ(lowered.layers.size(), expected.size());
+    for (std::size_t l = 0; l < expected.size(); ++l) {
+      ExpectLaunchesEqual(*lowered.layers[l], expected[l]);
+    }
+    ids[i] = lowered.ids;
+  });
+  for (const std::vector<std::uint32_t>& got : ids) EXPECT_EQ(got, ids[0]);
+}
+
+TEST_F(ProfilerLowerTest, CopiesShareTheTable) {
+  const dnn::Network net = zoo::BuildByName("resnet18");
+  const LoweredNetwork source = profiler_.Lower(net, 32);
+  const Profiler copy = profiler_;
+  const LoweredNetwork copied = copy.Lower(net, 32);
+  EXPECT_EQ(copied.ids, source.ids);
+  EXPECT_EQ(copied.layers, source.layers);
+  EXPECT_EQ(copy.LoweredListCount(), profiler_.LoweredListCount());
+  EXPECT_EQ(Profiler(oracle_).LoweredListCount(), 0u);  // no global state
+}
+
+// The gpuperf_lowering_cache_{hits,misses} counters tally one hit or miss
+// per layer lookup: over a build, the misses are the table's distinct
+// lists and hits + misses its (network, layer) lowerings.
+TEST(ProfilerLowerCounterTest, BuildCountsOneLookupPerLayer) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Counter& hits = registry.counter("gpuperf_lowering_cache_hits");
+  obs::Counter& misses = registry.counter("gpuperf_lowering_cache_misses");
+  const std::vector<dnn::Network> networks = zoo::SmallZoo(16);
+  dataset::BuildOptions options;
+  options.jobs = 1;
+  const std::uint64_t hits0 = hits.Value(), misses0 = misses.Value();
+  const dataset::Dataset data = dataset::BuildDataset(networks, options);
+  const std::uint64_t build_hits = hits.Value() - hits0;
+  const std::uint64_t build_misses = misses.Value() - misses0;
+  ASSERT_FALSE(data.kernel_rows().empty());
+
+  // The build lowers each network that fits on some GPU once.
+  const Profiler reference{HardwareOracle(options.oracle)};
+  std::uint64_t lowerings = 0;
+  for (const dnn::Network& network : networks) {
+    const std::int64_t footprint =
+        dnn::InferenceFootprintBytes(network, options.batch);
+    bool fits = false;
+    for (const GpuSpec& gpu : AllGpus()) {
+      fits = fits || dnn::FitsInMemory(footprint, gpu.memory_gb);
+    }
+    if (!fits) continue;
+    reference.Lower(network, options.batch);
+    lowerings += network.layers().size();
+  }
+  EXPECT_EQ(build_misses, reference.LoweredListCount());
+  EXPECT_EQ(build_hits + build_misses, lowerings);
 }
 
 TEST(ProfilerDeathTest, ZeroMeasuredBatchesIsError) {
   HardwareOracle oracle;
   EXPECT_DEATH(Profiler(oracle, 0), "check failed");
+}
+
+TEST(ProfilerDeathTest, ReplayingAnotherProfilersLoweringIsError) {
+  const HardwareOracle oracle;
+  const Profiler lowering(oracle), replaying(oracle);
+  const dnn::Network net = zoo::BuildByName("alexnet");
+  EXPECT_DEATH(replaying.ReplayLowered(net, lowering.Lower(net, 8),
+                                       GpuByName("A100")),
+               "another Profiler");
 }
 
 }  // namespace

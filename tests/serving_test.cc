@@ -14,10 +14,13 @@
 #include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "gpuexec/oracle.h"
+#include "gpuexec/profiler.h"
 #include "obs/chrome_trace.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics_registry.h"
 #include "obs/span_tracer.h"
+#include "simsys/serving_matrix.h"
+#include "zoo/zoo.h"
 
 namespace gpuperf::simsys {
 namespace {
@@ -1296,6 +1299,28 @@ TEST(ServingTest, ChaosHedgingEventOrderMatchesGolden) {
   }
   EXPECT_EQ(StableHash(timeline.Csv()), 51390222808851109ULL);
   EXPECT_EQ(StableHash(trace.Json()), 17853784535721987504ULL);
+}
+
+// The truth matrix lowers each network once for all GPUs; every cell
+// must still be what a per-cell MeasureE2eUs reports, bit for bit.
+TEST(ServingTest, TruthMatrixIsMeasureE2eUsPerCell) {
+  const std::vector<dnn::Network> networks = {
+      zoo::BuildByName("resnet18"), zoo::BuildByName("mobilenet_v2")};
+  const std::vector<const gpuexec::GpuSpec*> gpus = {
+      &gpuexec::GpuByName("A40"), &gpuexec::GpuByName("V100")};
+  const std::vector<std::vector<double>> truth =
+      TruthMatrix(networks, gpus, 16);
+  const gpuexec::HardwareOracle oracle;
+  const gpuexec::Profiler profiler(oracle);
+  ASSERT_EQ(truth.size(), networks.size());
+  for (std::size_t j = 0; j < networks.size(); ++j) {
+    ASSERT_EQ(truth[j].size(), gpus.size());
+    for (std::size_t g = 0; g < gpus.size(); ++g) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(truth[j][g]),
+                std::bit_cast<std::uint64_t>(
+                    profiler.MeasureE2eUs(networks[j], *gpus[g], 16)));
+    }
+  }
 }
 
 }  // namespace

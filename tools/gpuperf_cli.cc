@@ -31,7 +31,6 @@
 #include "dnn/flops.h"
 #include "dnn/memory.h"
 #include "gpuexec/oracle.h"
-#include "gpuexec/profiler.h"
 #include "gpuexec/roofline.h"
 #include "models/e2e_model.h"
 #include "models/explain.h"
@@ -363,28 +362,6 @@ int BuildDriftSchedule(const Flags& flags,
 }
 
 /** The dispatch policies a --policy value sweeps. */
-/**
- * The oracle's e2e time of every (network, GPU) cell at `batch` — what
- * MeasureE2eUs reports, with each network lowered once for all GPUs.
- */
-std::vector<std::vector<double>> TruthMatrix(
-    const std::vector<dnn::Network>& networks,
-    const std::vector<const gpuexec::GpuSpec*>& gpus, std::int64_t batch) {
-  const gpuexec::HardwareOracle oracle;
-  const gpuexec::Profiler profiler(oracle);
-  std::vector<std::vector<double>> truth;
-  for (const dnn::Network& network : networks) {
-    const gpuexec::LoweredNetwork lowered =
-        gpuexec::LowerForReplay(network, batch);
-    std::vector<double> t;
-    for (const gpuexec::GpuSpec* gpu : gpus) {
-      t.push_back(profiler.ReplayLowered(network, lowered, *gpu).e2e_time_us);
-    }
-    truth.push_back(std::move(t));
-  }
-  return truth;
-}
-
 std::vector<simsys::DispatchPolicy> PoliciesFor(const std::string& name) {
   if (name == "round-robin") return {simsys::DispatchPolicy::kRoundRobin};
   if (name == "least-outstanding") {
@@ -440,7 +417,7 @@ int CmdServeSim(const Flags& flags) {
   }
   const std::shared_ptr<const models::KwModel> kw = registry.Snapshot();
   const std::vector<std::vector<double>> truth =
-      TruthMatrix(networks, gpus, batch);
+      simsys::TruthMatrix(networks, gpus, batch);
   std::vector<std::vector<double>> predicted;
   if (kw != nullptr) {
     // One batched PredictMany sweep over compiled plans fills the whole
@@ -734,7 +711,7 @@ int CmdChaos(const Flags& flags) {
   // the oracle as its own predictor — so a hedge fires exactly when a
   // chaos slowdown pushes a job past hedge_trigger_factor x truth.
   const std::vector<std::vector<double>> truth =
-      TruthMatrix(networks, gpus, batch);
+      simsys::TruthMatrix(networks, gpus, batch);
   const std::vector<std::vector<double>>& predicted = truth;
   const std::vector<double> mix(networks.size(), 1.0);
 
@@ -917,7 +894,7 @@ int CmdDriftReport(const Flags& flags) {
   if (!promoted.ok()) return UserError(promoted);
 
   const std::vector<std::vector<double>> truth =
-      TruthMatrix(networks, gpus, batch);
+      simsys::TruthMatrix(networks, gpus, batch);
   const std::vector<double> mix(networks.size(), 1.0);
 
   models::LifecycleOptions lifecycle;
